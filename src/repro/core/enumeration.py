@@ -36,6 +36,7 @@ excludes looping paths.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -490,7 +491,10 @@ class PathEnumerator:
     #
     # The engine replays the reference engine's iteration orders exactly
     # (see fastpath module docstring), so the two delivery streams are
-    # identical including tie order.
+    # identical including tie order.  After the creation step it only
+    # visits steps, nodes and edges where the fresh-edge index says a
+    # hand-off, delivery or purge can happen (the exactness argument is in
+    # the fastpath module docstring).
 
     def _enumerate_fast(
         self,
@@ -520,55 +524,55 @@ class PathEnumerator:
             src_idx: [(root_link, 1 << src_idx, start_step, 0)]
         }
         # first-insertion order of store keys (see _enumerate_reference):
-        # preserved across delete/re-insert cycles so the hand-off snapshot
-        # processes nodes exactly as the reference engine does.
+        # preserved across delete/re-insert cycles so hand-offs visit nodes
+        # exactly in the reference engine's order.
         first_slot: Dict[int, int] = {src_idx: 0}
         # emissions: (time, delivered_hop_count, step, delivered_link)
         emitted: List[Tuple[float, int, int, tuple]] = []
-        # cached (max_hop, first_max_index) per node store at capacity
-        cap_cache: Dict[int, Tuple[int, int]] = {}
+        # hop-count buckets of exactly the stores holding k paths (see
+        # _CapIndex); dropped whenever a delivery or purge shrinks the list
+        caps: Dict[int, _CapIndex] = {}
+        if k == 1:
+            caps[src_idx] = _CapIndex(store[src_idx])
 
         raw_adjacency = graph._adjacency
+        neighbor_lists = tables.neighbor_lists
         neighbor_masks = tables.neighbor_masks
-        next_active = tables.next_active
-        steps_counted = 0
+        fresh_lists = tables.fresh_lists
+        next_fresh = tables.next_fresh
+        dest_fresh_column = next_fresh[dst_idx]
         total_deliveries = 0
         step = start_step
         while step < last_step:
-            if not store:
-                # No paths anywhere: the remaining steps are no-ops; count
-                # them as processed, as the reference engine would.
-                steps_counted += last_step - step
-                break
-            masks_t = neighbor_masks[step]
-            dest_mask = masks_t.get(dst_idx, 0)
-            if not dest_mask and all(idx not in masks_t for idx in store):
-                # Neither the destination nor any path-holding node has a
-                # contact edge: jump to the next step where one does.
-                jump = min(
-                    min(next_active[idx][step] for idx in store),
-                    next_active[dst_idx][step],
-                    last_step,
-                )
-                steps_counted += jump - step
-                step = jump
-                continue
-            steps_counted += 1
             arrival_time = (step + 1) * delta
+            if step == start_step:
+                # The root path is new at its creation step, so it may leave
+                # over every active edge, not only the fresh ones.
+                peers_t = neighbor_lists[step]
+            else:
+                peers_t = fresh_lists[step]
             delivered_this_step = self._process_step_fast(
-                store, first_slot, cap_cache, emitted, step, arrival_time,
-                dest_mask, dst_idx, destination, raw_adjacency[step], tables,
+                store, first_slot, caps, emitted, peers_t, step, arrival_time,
+                neighbor_masks[step].get(dst_idx, 0), dst_idx, destination,
+                raw_adjacency[step], tables,
             )
             total_deliveries += delivered_this_step
-            if delivered_this_step >= k:
-                result.stopped_early = True
-                break
-            if (max_total_deliveries is not None
+            if delivered_this_step >= k or (
+                    max_total_deliveries is not None
                     and total_deliveries >= max_total_deliveries):
                 result.stopped_early = True
+                last_step = step + 1
                 break
+            if not store:
+                break
+            # Jump to the next step at which the destination or a path
+            # holder has a fresh edge; the steps in between are no-ops.
             step += 1
-        result.steps_processed = steps_counted
+            if step < last_step:
+                step = min(dest_fresh_column[step],
+                           min(next_fresh[idx][step] for idx in store))
+        # Skipped steps count as processed, as in the reference engine.
+        result.steps_processed = max(0, last_step - start_step)
         emitted.sort(key=lambda record: (record[0], record[1]))
         result.deliveries = [
             Delivery(path=Path(hops=_materialize_hops(link)), time=time, step=step)
@@ -580,8 +584,9 @@ class PathEnumerator:
         self,
         store: Dict[int, List[tuple]],
         first_slot: Dict[int, int],
-        cap_cache: Dict[int, Tuple[int, int]],
+        caps: Dict[int, "_CapIndex"],
         emitted: List[Tuple[float, int, int, tuple]],
+        peers_t: Dict[int, List[int]],
         step: int,
         arrival_time: float,
         dest_mask: int,
@@ -590,19 +595,26 @@ class PathEnumerator:
         raw_adjacency: Dict[NodeId, Set[NodeId]],
         tables,
     ) -> int:
-        delivered = 0
-        interner = tables.interner
-        index_of = interner.index_of
-        node_of = interner.nodes
-        neighbor_list = tables.neighbor_lists[step]
-        place = self._place_fast
+        """Run deliveries and hand-offs for one timestep.
 
-        if dest_mask:
+        *peers_t* maps each node to the peers its stored paths may be handed
+        to at this step: the fresh peers, or every peer at the creation
+        step.  Nodes absent from it hand off nothing, and when the
+        destination is absent no path holder or path-visited node can be in
+        contact with it, so the delivery and purge phases are skipped.
+        Returns the number of deliveries made during this step.
+        """
+        delivered = 0
+        node_of = tables.interner.nodes
+        neighbor_list = tables.neighbor_lists[step]
+        k = self._k
+
+        if dst_idx in peers_t:
             # 1. Deliveries.  The reference engine iterates a set *copy* of
             #    the destination's adjacency; perform the identical operation
             #    on the identical set object so tie order matches exactly.
-            dest_neighbors = set(raw_adjacency.get(destination, ()))
-            for node in dest_neighbors:
+            index_of = tables.interner.index_of
+            for node in set(raw_adjacency[destination]):
                 idx = index_of(node)
                 held = store.get(idx)
                 if not held:
@@ -612,14 +624,14 @@ class PathEnumerator:
                                     (link, destination, arrival_time)))
                 delivered += len(held)
                 del store[idx]
-                cap_cache.pop(idx, None)
+                caps.pop(idx, None)
 
             # 1b. First-preference purge: one AND per stored path.
             emptied: List[int] = []
             for idx, held in store.items():
                 kept = [entry for entry in held if not (entry[1] & dest_mask)]
                 if len(kept) != len(held):
-                    cap_cache.pop(idx, None)
+                    caps.pop(idx, None)
                     if kept:
                         store[idx] = kept
                     else:
@@ -627,103 +639,100 @@ class PathEnumerator:
             for idx in emptied:
                 del store[idx]
 
-        # 2. Hand-offs from a post-delivery snapshot, in first-insertion
-        #    order (the reference engine's effective processing order).
+        # 2. Hand-offs from the post-delivery snapshot, then 3. the
+        #    within-step cascade over zero-weight edges: paths placed during
+        #    this step keep moving over any active edge.  Both phases feed
+        #    one placement loop as (paths, peers) batches, each peer taking
+        #    the paths in order; the cascade drains the frontier LIFO.
         frontier: List[Tuple[int, tuple]] = []
-        snapshot = [(idx, list(held))
-                    for idx, held in sorted(store.items(),
-                                            key=lambda item: first_slot[item[0]])]
-        for idx, held in snapshot:
-            neighbors = neighbor_list.get(idx)
-            if not neighbors:
-                continue
-            for peer_idx, fresh in neighbors:
+        holders = [(list(store[idx]), peers_t[idx])
+                   for idx in sorted((idx for idx in store if idx in peers_t),
+                                     key=first_slot.__getitem__)]
+
+        def batches():
+            yield from holders
+            while frontier:
+                idx, entry = frontier.pop()
+                yield (entry,), neighbor_list.get(idx, ())
+
+        for entries, peers in batches():
+            for peer_idx in peers:
                 if peer_idx == dst_idx:
                     continue
+                bit = 1 << peer_idx
                 peer = node_of[peer_idx]
-                peer_bit = 1 << peer_idx
-                for entry in held:
-                    if not fresh and entry[2] < step:
-                        # Ongoing contact, old path: the hand-off already
-                        # happened in an earlier step.
-                        continue
-                    mask = entry[1]
-                    if mask & peer_bit:
-                        continue
-                    new_entry = ((entry[0], peer, arrival_time),
-                                 mask | peer_bit, step, entry[3] + 1)
-                    delivered += place(
-                        store, first_slot, cap_cache, emitted, new_entry,
-                        peer_idx, dest_mask, arrival_time, step, destination,
-                        frontier,
-                    )
-
-        # 3. Within-step cascade over zero-weight edges.
-        while frontier:
-            idx, entry = frontier.pop()
-            neighbors = neighbor_list.get(idx)
-            if not neighbors:
-                continue
-            link, mask, _, hop_count = entry
-            for peer_idx, _ in neighbors:
-                peer_bit = 1 << peer_idx
-                if peer_idx == dst_idx or mask & peer_bit:
+                if dest_mask & bit:  # immediate delivery (first preference)
+                    for entry in entries:
+                        if not entry[1] & bit:
+                            emitted.append((arrival_time, entry[3] + 2, step,
+                                            ((entry[0], peer, arrival_time),
+                                             destination, arrival_time)))
+                            delivered += 1
                     continue
-                new_entry = ((link, node_of[peer_idx], arrival_time),
-                             mask | peer_bit, step, hop_count + 1)
-                delivered += place(
-                    store, first_slot, cap_cache, emitted, new_entry,
-                    peer_idx, dest_mask, arrival_time, step, destination,
-                    frontier,
-                )
+                # Placements below touch only this peer's store, so its
+                # list and cap index stay valid for the whole batch.
+                held = store.get(peer_idx)
+                cap = None if held is None else caps.get(peer_idx)
+                for entry in entries:
+                    mask = entry[1]
+                    if mask & bit:
+                        continue
+                    hop_count = entry[3] + 1
+                    if cap is None:
+                        if held is None:
+                            held = store[peer_idx] = []
+                            if peer_idx not in first_slot:
+                                first_slot[peer_idx] = len(first_slot)
+                        new_entry = ((entry[0], peer, arrival_time),
+                                     mask | bit, step, hop_count)
+                        held.append(new_entry)
+                        frontier.append((peer_idx, new_entry))
+                        if len(held) == k:
+                            cap = caps[peer_idx] = _CapIndex(held)
+                    elif cap.max_hops > hop_count:
+                        # At capacity: keep the k shortest by hop count,
+                        # replacing the first position holding the maximum.
+                        new_entry = ((entry[0], peer, arrival_time),
+                                     mask | bit, step, hop_count)
+                        held[cap.replace(hop_count)] = new_entry
+                        frontier.append((peer_idx, new_entry))
         return delivered
 
-    def _place_fast(
-        self,
-        store: Dict[int, List[tuple]],
-        first_slot: Dict[int, int],
-        cap_cache: Dict[int, Tuple[int, int]],
-        emitted: List[Tuple[float, int, int, tuple]],
-        entry: tuple,
-        idx: int,
-        dest_mask: int,
-        arrival_time: float,
-        step: int,
-        destination: NodeId,
-        frontier: List[Tuple[int, tuple]],
-    ) -> int:
-        if dest_mask >> idx & 1:  # immediate delivery (first preference)
-            emitted.append((arrival_time, entry[3] + 1, step,
-                            (entry[0], destination, arrival_time)))
-            return 1
-        held = store.get(idx)
-        if held is None:
-            held = store[idx] = []
-            if idx not in first_slot:
-                first_slot[idx] = len(first_slot)
-        if len(held) < self._k:
-            held.append(entry)
-            frontier.append((idx, entry))
-            return 0
-        # At capacity: keep the k shortest by hop count.  The reference
-        # engine rescans for the first index holding the maximum hop count
-        # on every placement; cache that scan until the list changes.
-        cached = cap_cache.get(idx)
-        if cached is None:
-            worst_hops = -1
-            worst_index = 0
-            for position, existing in enumerate(held):
-                if existing[3] > worst_hops:
-                    worst_hops = existing[3]
-                    worst_index = position
-            cached = (worst_hops, worst_index)
-            cap_cache[idx] = cached
-        worst_hops, worst_index = cached
-        if worst_hops > entry[3]:
-            held[worst_index] = entry
-            cap_cache.pop(idx, None)
-            frontier.append((idx, entry))
-        return 0
+
+class _CapIndex:
+    """Slot positions of a full store, bucketed by hop count.
+
+    The reference rule replaces "the first position holding the maximum hop
+    count"; with a min-heap of positions per hop count that position is the
+    top of the ``max_hops`` bucket, found in O(log k) instead of a rescan of
+    all k entries.  Built when a placement fills the store to k paths;
+    dropped whenever a delivery or the purge shrinks the store.
+    """
+
+    __slots__ = ("buckets", "max_hops")
+
+    def __init__(self, held: List[tuple]) -> None:
+        buckets: Dict[int, List[int]] = {}
+        for position, entry in enumerate(held):
+            # positions arrive in increasing order: each list is a heap
+            buckets.setdefault(entry[3], []).append(position)
+        self.buckets = buckets
+        self.max_hops = max(buckets)
+
+    def replace(self, hop_count: int) -> int:
+        """Move the first maximum-hop position to *hop_count*; return it."""
+        buckets = self.buckets
+        worst = buckets[self.max_hops]
+        position = heapq.heappop(worst)
+        bucket = buckets.get(hop_count)  # hop_count < max_hops: not worst
+        if bucket is None:
+            buckets[hop_count] = [position]
+        else:
+            heapq.heappush(bucket, position)
+        if not worst:
+            del buckets[self.max_hops]
+            self.max_hops = max(buckets)
+        return position
 
 
 def _materialize_hops(link: tuple) -> Tuple[Hop, ...]:

@@ -15,16 +15,43 @@ DTN simulators:
 * :class:`StepTables` — per-timestep structures precomputed once per
   :class:`~repro.core.space_time_graph.SpaceTimeGraph`:
 
-  - ``neighbor_lists[step][i]`` — the interned neighbours of node *i*, each
-    paired with a precomputed *freshness* flag (True when the contact edge
-    was not active at ``step - 1``), eliminating the per-hand-off
-    ``in_contact(node, peer, step - 1)`` lookup of the seed engine;
+  - ``neighbor_lists[step][i]`` — the interned neighbours of node *i*, used
+    by the within-step cascade, which may follow any active edge;
   - ``neighbor_masks[step][i]`` — the same neighbourhood as a bitmask, used
     for the first-preference purge and for O(1) "is this node in contact
     with the destination" tests;
-  - ``next_active[i][step]`` — a skip index: the first step ``>= step`` at
-    which node *i* has any contact edge, so the dynamic program can jump
-    over the (typically many) steps during which nothing can happen.
+  - the *fresh-edge index*.  A contact edge is fresh at ``step`` when it was
+    not active at ``step - 1``.  ``fresh_lists[step][i]`` holds node *i*'s
+    fresh peers in ``neighbor_lists`` order (only nodes with at least one
+    fresh edge have an entry), ``fresh_masks[step]`` is the bitmask of those
+    nodes, and ``next_fresh[i][step]`` is the first step ``>= step`` at
+    which node *i* has a fresh edge.  The first step at which a node has any
+    edge is always a fresh step, so this column also answers "when is this
+    node next active at all".
+
+Why the fresh-edge index is enough
+----------------------------------
+After its first step, the dynamic program only needs to look at a step
+where the destination or a path-holding node has a fresh edge; every other
+step is a no-op and is jumped over.  Three facts make that exact:
+
+1. At the end of every step, no node in contact with the destination at
+   that step holds a path: its paths were delivered, and a path placed at it
+   is delivered at once rather than stored.
+2. At the end of every step, no stored path visits such a node: the
+   first-preference purge removed those paths, and a path can only come to
+   visit the node by being placed there.
+3. Every stored path is older than the current step (the one exception is
+   the source's root path at the creation step), so it is handed off only
+   over fresh edges; paths that arrive during a step continue over any
+   active edge in the same step's cascade.
+
+So at a step where neither the destination nor a path holder has a fresh
+edge, an ongoing contact with the destination has nothing to deliver
+(fact 1) and nothing to purge (fact 2), and no stored path can be handed
+off (fact 3).  For the same reasons, within a processed step only the
+destination's fresh neighbours can hold or be visited by a stored path, and
+only path holders with fresh edges can hand off.
 
 Ordering contract
 -----------------
@@ -32,8 +59,8 @@ The fast engine must reproduce the seed engine's delivery stream *exactly*,
 including the order of same-time same-hop-count ties, which in the seed
 implementation is inherited from Python ``set`` iteration order.  For that
 reason ``neighbor_lists`` is built by iterating the graph's original
-adjacency sets, preserving their iteration order verbatim.  Do not sort
-these lists.
+adjacency sets, preserving their iteration order verbatim, and
+``fresh_lists`` keeps that order.  Do not sort these lists.
 """
 
 from __future__ import annotations
@@ -120,19 +147,23 @@ class StepTables:
     """
 
     __slots__ = ("interner", "neighbor_lists", "neighbor_masks",
-                 "next_active", "num_steps")
+                 "fresh_lists", "fresh_masks", "next_fresh", "num_steps")
 
     def __init__(
         self,
         interner: NodeInterner,
-        neighbor_lists: List[Dict[int, List[Tuple[int, bool]]]],
+        neighbor_lists: List[Dict[int, List[int]]],
         neighbor_masks: List[Dict[int, int]],
-        next_active: List[Sequence[int]],
+        fresh_lists: List[Dict[int, List[int]]],
+        fresh_masks: List[int],
+        next_fresh: List[Sequence[int]],
     ) -> None:
         self.interner = interner
         self.neighbor_lists = neighbor_lists
         self.neighbor_masks = neighbor_masks
-        self.next_active = next_active
+        self.fresh_lists = fresh_lists
+        self.fresh_masks = fresh_masks
+        self.next_fresh = next_fresh
         self.num_steps = len(neighbor_lists)
 
     # ------------------------------------------------------------------
@@ -141,55 +172,68 @@ class StepTables:
               adjacency_by_step: Sequence[Dict[NodeId, set]]) -> "StepTables":
         """Build the tables from a per-step ``{node: set_of_peers}`` sequence.
 
-        ``neighbor_lists`` preserves the iteration order of each adjacency
-        set (see the module docstring's ordering contract).
+        ``neighbor_lists`` and ``fresh_lists`` preserve the iteration order
+        of each adjacency set (see the module docstring's ordering contract).
         """
         interner = NodeInterner(nodes)
         index_of = interner._index
         num_steps = len(adjacency_by_step)
-        num_nodes = len(interner)
 
-        neighbor_lists: List[Dict[int, List[Tuple[int, bool]]]] = []
+        neighbor_lists: List[Dict[int, List[int]]] = []
         neighbor_masks: List[Dict[int, int]] = []
+        fresh_lists: List[Dict[int, List[int]]] = []
+        fresh_masks: List[int] = []
+        fresh_steps: List[List[int]] = [[] for _ in range(len(interner))]
+        prev: Dict[NodeId, set] = {}
         for step, adjacency in enumerate(adjacency_by_step):
-            prev = adjacency_by_step[step - 1] if step > 0 else {}
-            lists: Dict[int, List[Tuple[int, bool]]] = {}
+            lists: Dict[int, List[int]] = {}
             masks: Dict[int, int] = {}
+            fresh: Dict[int, List[int]] = {}
+            fresh_mask = 0
             for node, peers in adjacency.items():
                 prev_peers = prev.get(node, ())
                 idx = index_of[node]
                 entries = []
+                fresh_peers = []
                 mask = 0
                 for peer in peers:  # natural set order — do not sort
                     peer_idx = index_of[peer]
-                    entries.append((peer_idx, peer not in prev_peers))
+                    entries.append(peer_idx)
                     mask |= 1 << peer_idx
+                    if peer not in prev_peers:
+                        fresh_peers.append(peer_idx)
                 lists[idx] = entries
                 masks[idx] = mask
+                if fresh_peers:
+                    fresh[idx] = fresh_peers
+                    fresh_mask |= 1 << idx
+                    fresh_steps[idx].append(step)
             neighbor_lists.append(lists)
             neighbor_masks.append(masks)
+            fresh_lists.append(fresh)
+            fresh_masks.append(fresh_mask)
+            prev = adjacency
 
-        next_active: List[Sequence[int]] = []
-        for idx in range(num_nodes):
-            column = [num_steps] * (num_steps + 1)
-            upcoming = num_steps
-            for step in range(num_steps - 1, -1, -1):
-                if idx in neighbor_masks[step]:
-                    upcoming = step
-                column[step] = upcoming
-            next_active.append(column)
+        next_fresh: List[Sequence[int]] = []
+        for steps in fresh_steps:
+            column: List[int] = []
+            for fresh_step in steps:
+                column.extend([fresh_step] * (fresh_step + 1 - len(column)))
+            column.extend([num_steps] * (num_steps + 1 - len(column)))
+            next_fresh.append(column)
 
-        return cls(interner, neighbor_lists, neighbor_masks, next_active)
+        return cls(interner, neighbor_lists, neighbor_masks, fresh_lists,
+                   fresh_masks, next_fresh)
 
     # ------------------------------------------------------------------
-    def first_active_step(self, index: int, step: int) -> int:
-        """First step ``>= step`` at which node *index* has a contact edge.
+    def first_fresh_step(self, index: int, step: int) -> int:
+        """First step ``>= step`` at which node *index* has a fresh edge.
 
-        Returns ``num_steps`` when the node has no further contacts.
+        Returns ``num_steps`` when the node has no further fresh edges.
         """
         if step >= self.num_steps:
             return self.num_steps
-        return self.next_active[index][step]
+        return self.next_fresh[index][step]
 
     def dest_mask(self, index: int, step: int) -> int:
         """Bitmask of the nodes in contact with node *index* at *step*."""

@@ -115,8 +115,8 @@ class SpaceTimeGraph:
         return self.step_tables().interner
 
     def step_tables(self) -> StepTables:
-        """Per-step fast-path indexes (interned neighbour lists, freshness
-        flags, neighbour bitmasks, and the next-active-step skip index).
+        """Per-step fast-path indexes (interned neighbour lists, neighbour
+        bitmasks, and the fresh-edge index with its next-fresh-step column).
 
         Built lazily on first use and cached for the lifetime of the graph,
         so the cost is paid once per trace rather than once per message.

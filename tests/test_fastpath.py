@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_properties import trace_strategy
 
 from repro.contacts import Contact, ContactTrace
 from repro.core import NodeInterner, SpaceTimeGraph, StepTables
@@ -98,35 +99,44 @@ class TestStepTables:
             adjacency = graph.adjacency(step)
             for node, peers in adjacency.items():
                 entries = tables.neighbor_lists[step][interner.index_of(node)]
-                assert [interner.node_at(i) for i, _ in entries] == list(peers)
+                assert [interner.node_at(i) for i in entries] == list(peers)
 
-    def test_freshness_flags(self, graph):
+    def test_fresh_lists(self, graph):
         tables = graph.step_tables()
         interner = tables.interner
         idx0, idx1 = interner.index_of(0), interner.index_of(1)
-        # step 0: edge 0-1 appears -> fresh
-        assert dict(tables.neighbor_lists[0][idx0])[idx1] is True
+        idx2 = interner.index_of(2)
+        # step 0: edge 0-1 appears -> fresh at both ends
+        assert tables.fresh_lists[0] == {idx0: [idx1], idx1: [idx0]}
+        assert tables.fresh_masks[0] == interner.mask_of([0, 1])
         # steps 1-2: the same contact is ongoing -> stale
-        assert dict(tables.neighbor_lists[1][idx0])[idx1] is False
-        assert dict(tables.neighbor_lists[2][idx0])[idx1] is False
+        assert tables.fresh_lists[1] == {} and tables.fresh_masks[1] == 0
+        assert tables.fresh_lists[2] == {} and tables.fresh_masks[2] == 0
+        # step 3: edge 1-2 appears -> fresh
+        assert tables.fresh_lists[3] == {idx1: [idx2], idx2: [idx1]}
+        assert tables.fresh_masks[3] == interner.mask_of([1, 2])
         # step 4: contact 30-40 ends exactly when 40-50 begins, so the edge
         # is continuously active across the step boundary -> stale
-        idx2 = interner.index_of(2)
-        assert dict(tables.neighbor_lists[3][idx1])[idx2] is True
-        assert dict(tables.neighbor_lists[4][idx1])[idx2] is False
+        assert idx2 in tables.neighbor_lists[4][idx1]
+        assert tables.fresh_lists[4] == {} and tables.fresh_masks[4] == 0
 
-    def test_next_active_skip_index(self, graph):
+    def test_next_fresh_skip_index(self, graph):
         tables = graph.step_tables()
         interner = tables.interner
         idx2 = interner.index_of(2)
-        # node 2 is active at steps 3 and 4 only
-        assert tables.first_active_step(idx2, 0) == 3
-        assert tables.first_active_step(idx2, 3) == 3
-        assert tables.first_active_step(idx2, 4) == 4
-        assert tables.first_active_step(idx2, 5) == graph.num_steps
-        assert tables.first_active_step(idx2, 99) == graph.num_steps
+        # node 2 is active at steps 3 and 4, but its edge is fresh at 3 only
+        assert tables.first_fresh_step(idx2, 0) == 3
+        assert tables.first_fresh_step(idx2, 3) == 3
+        assert tables.first_fresh_step(idx2, 4) == graph.num_steps
+        assert tables.first_fresh_step(idx2, 99) == graph.num_steps
+        idx1 = interner.index_of(1)  # fresh at steps 0 and 3
+        assert tables.first_fresh_step(idx1, 0) == 0
+        assert tables.first_fresh_step(idx1, 1) == 3
         idx3 = interner.index_of(3)  # never active
-        assert tables.first_active_step(idx3, 0) == graph.num_steps
+        assert tables.first_fresh_step(idx3, 0) == graph.num_steps
+        for column in tables.next_fresh:
+            assert len(column) == graph.num_steps + 1
+            assert column[graph.num_steps] == graph.num_steps
 
     def test_dest_mask_helper(self, graph):
         tables = graph.step_tables()
@@ -135,6 +145,45 @@ class TestStepTables:
         assert tables.dest_mask(idx1, 0) == interner.mask_of([0])
         assert tables.dest_mask(idx1, 3) == interner.mask_of([2])
         assert tables.dest_mask(interner.index_of(3), 0) == 0
+
+
+class TestFreshEdgeIndexBruteForce:
+    """The fresh-edge index against a direct scan of the adjacency sets."""
+
+    @given(trace=trace_strategy(max_contacts=25),
+           delta=st.sampled_from([5.0, 10.0, 30.0]))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_fresh_index_matches_adjacency_scan(self, trace, delta):
+        graph = SpaceTimeGraph(trace, delta=delta)
+        tables = graph.step_tables()
+        interner = tables.interner
+        num_steps = graph.num_steps
+        fresh_steps = {node: [] for node in interner.nodes}
+        for step in range(num_steps):
+            adjacency = graph.adjacency(step)
+            expected_lists = {}
+            expected_mask = 0
+            for node, peers in adjacency.items():
+                # a fresh edge was not active at the previous step
+                fresh = [interner.index_of(peer) for peer in peers
+                         if not (step > 0 and graph.in_contact(node, peer, step - 1))]
+                if fresh:
+                    expected_lists[interner.index_of(node)] = fresh
+                    expected_mask |= interner.bit_of(node)
+                    fresh_steps[node].append(step)
+            assert tables.fresh_lists[step] == expected_lists, step
+            assert tables.fresh_masks[step] == expected_mask, step
+        for node, steps in fresh_steps.items():
+            idx = interner.index_of(node)
+            for step in range(num_steps + 1):
+                expected = next((s for s in steps if s >= step), num_steps)
+                assert tables.first_fresh_step(idx, step) == expected
+                assert tables.next_fresh[idx][step] == expected
+            # a node's first active step is always one of its fresh steps
+            active = [s for s in range(num_steps) if node in graph.adjacency(s)]
+            if active:
+                assert steps[0] == active[0]
 
 
 class TestHalfOpenStepBoundaries:

@@ -4,13 +4,17 @@ The fast engine (interned ids, bitmask path sets, prebuilt step indexes,
 lazy path reconstruction) must reproduce the reference engine's delivery
 stream *exactly* — same paths, same arrival times, same order (including
 ties), same ``stopped_early`` flag — on every dataset.  This suite checks
-that on all four paper dataset stand-ins plus adversarial small traces, and
-also pins the batch/parallel entry points to the serial stream.
+that on all four paper dataset stand-ins, on adversarial small traces and on
+generated traces, and also pins the batch/parallel entry points to the
+serial stream.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_properties import contact_strategy, trace_strategy
 
 from repro.analysis import run_path_explosion_study
 from repro.contacts import Contact, ContactTrace
@@ -225,3 +229,118 @@ def test_rejects_unknown_engine():
     graph = SpaceTimeGraph(trace, delta=10.0)
     with pytest.raises(ValueError):
         PathEnumerator(graph, k=5, engine="turbo")
+
+
+def test_cap_replacement_across_purge_and_delivery():
+    """A full store's replacement index is rebuilt at every invalidation.
+
+    With k = 3, node X fills with paths of 3, 3 and 2 hops (steps 2-5),
+    then takes a 2-hop replacement (step 6).  F meets the destination at
+    step 7: F delivers, and the purge rewrites X's list without its path
+    through F.  X refills at step 8, takes a 1-hop replacement from the
+    source at step 9, and delivers its full store at step 10, which fires
+    the k-per-step stop rule.  A replacement index kept across the purge
+    would reject the step-8 path and change the final deliveries.
+    """
+    S, A, B, C, X, E, F, D = 0, 1, 2, 3, 4, 5, 6, 9
+
+    def at(step, a, b):
+        return Contact(10.0 * step + 1.0, 10.0 * step + 5.0, a, b)
+
+    contacts = [at(0, S, A), at(0, S, B), at(1, A, C), at(1, B, F),
+                at(2, C, X), at(3, F, X), at(4, S, E), at(5, E, X),
+                at(6, A, X), at(7, F, D), at(8, C, X), at(9, S, X),
+                at(10, X, D)]
+    trace = ContactTrace(contacts, nodes=[S, A, B, C, X, E, F, D],
+                         duration=120.0, name="cap")
+    graph = SpaceTimeGraph(trace, delta=10.0)
+    fast = PathEnumerator(graph, k=3, engine="fast").enumerate(S, D, 0.0)
+    reference = PathEnumerator(graph, k=3, engine="reference").enumerate(S, D, 0.0)
+    _assert_streams_equal(fast, reference, context="cap")
+    assert [(d.step, d.path.nodes) for d in fast.deliveries] == [
+        (7, (S, B, F, D)), (7, (S, A, C, X, F, D)),
+        (10, (S, X, D)), (10, (S, A, X, D)), (10, (S, E, X, D)),
+    ]
+    assert fast.stopped_early and fast.steps_processed == 11
+
+
+def test_destination_fresh_edge_purges_paths_of_emptied_node():
+    """A step where only the destination has a fresh edge is not a no-op.
+
+    Y's first path (4 hops, not via W) reaches Z at step 4.  At steps 8-9
+    Y fills with two 3-hop paths via W and replaces the old one.  W meets
+    the destination at step 10: the purge empties Y's store but keeps Z's
+    path through Y.  At step 11 the destination freshly meets Y, which
+    holds nothing, while no path holder has a fresh edge; the purge at that
+    step must still drop Z's path, or Z would deliver it at step 13.
+    """
+    S, P1, P2, P3, Y, Z, W, U1, U2, D = range(10)
+
+    def at(step, a, b, steps=1):
+        return Contact(10.0 * step + 1.0, 10.0 * (step + steps - 1) + 5.0, a, b)
+
+    contacts = [at(0, S, P1), at(1, P1, P2), at(2, P2, P3), at(3, P3, Y),
+                at(4, Y, Z), at(5, S, W), at(6, W, U1), at(7, W, U2),
+                at(8, U1, Y), at(9, U2, Y), at(10, W, D), at(11, Y, D, steps=5),
+                at(13, Z, D)]
+    trace = ContactTrace(contacts, nodes=range(10), duration=200.0, name="purge")
+    graph = SpaceTimeGraph(trace, delta=10.0)
+    fast = PathEnumerator(graph, k=2, engine="fast").enumerate(S, D, 0.0)
+    reference = PathEnumerator(graph, k=2, engine="reference").enumerate(S, D, 0.0)
+    _assert_streams_equal(fast, reference, context="purge")
+    assert [(d.step, d.path.nodes) for d in fast.deliveries] == [(10, (S, W, D))]
+
+
+@st.composite
+def _long_contact(draw):
+    """A contact lasting 10-40 steps of 10 s, so many edges are stale."""
+    contact = draw(contact_strategy())
+    length = draw(st.floats(min_value=100.0, max_value=400.0))
+    return Contact(contact.start, contact.start + length, contact.a, contact.b)
+
+
+@st.composite
+def _message_case(draw):
+    """A generated trace plus a message whose creation time may fall inside
+    an ongoing contact at the source or at the destination."""
+    base = draw(trace_strategy(max_contacts=30))
+    contacts = list(base) + draw(st.lists(_long_contact(), max_size=5))
+    duration = max(c.end for c in contacts) + 50.0
+    trace = ContactTrace(contacts, nodes=range(10), duration=duration)
+    where = draw(st.sampled_from(["anywhere", "source", "destination"]))
+    if where == "anywhere":
+        source = draw(st.integers(0, 9))
+        destination = draw(st.integers(0, 9).filter(lambda d: d != source))
+        creation_time = draw(st.floats(0.0, duration))
+    else:
+        contact = draw(st.sampled_from(contacts))
+        endpoint = draw(st.sampled_from([contact.a, contact.b]))
+        other = draw(st.integers(0, 9).filter(lambda n: n != endpoint))
+        source, destination = ((endpoint, other) if where == "source"
+                               else (other, endpoint))
+        creation_time = draw(st.floats(contact.start, contact.end))
+    return trace, source, destination, creation_time
+
+
+@given(case=_message_case(), k=st.sampled_from([1, 2, 3, 8]),
+       mode=st.sampled_from(["capped", "uncapped", "max_steps"]),
+       horizon=st.integers(0, 30))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_traces_stream_equivalence(case, k, mode, horizon):
+    """Fast vs reference on generated traces, including long contacts and
+    creation times inside ongoing contacts at either endpoint."""
+    trace, source, destination, creation_time = case
+    graph = SpaceTimeGraph(trace, delta=10.0)
+    kwargs = {}
+    if mode == "capped":
+        kwargs["max_total_deliveries"] = k
+    elif mode == "max_steps":
+        kwargs["max_steps"] = horizon
+    fast = PathEnumerator(graph, k=k, engine="fast")
+    reference = PathEnumerator(graph, k=k, engine="reference")
+    _assert_streams_equal(
+        fast.enumerate(source, destination, creation_time, **kwargs),
+        reference.enumerate(source, destination, creation_time, **kwargs),
+        context=f"{source}->{destination}@{creation_time} k={k} {mode}",
+    )
