@@ -5,8 +5,14 @@ Times one Poisson-workload replay of every registered protocol (the paper
 six through the compatibility wrapper plus the stateful zoo) in both
 engines on the benchmark-scale primary dataset, and records the delivery /
 overhead profile (success rate, copies per delivery) so the routing
-subsystem's perf *and* quality trajectory is tracked across PRs.  Medians
-are written to ``BENCH_routing.json`` at the repo root::
+subsystem's perf *and* quality trajectory is tracked across PRs.
+
+A ``city_1k`` section times the vector engine's hook path at city scale:
+one seeded 1000-node ``rwp-grid`` city (1100 m square, 20 m radio, 300 s)
+replayed by Epidemic (the fast-path contrast), PRoPHET, Greedy Online and
+FRESH.  Its ``prophet_vs_epidemic_ratio`` is enforced (lower is better)
+by ``repro obs bench-check``.  Medians are written to
+``BENCH_routing.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_routing.py [--quick]
         [--benchmark-json PATH]
@@ -30,9 +36,16 @@ for path in (_HERE, _HERE.parent / "src"):
 from repro.datasets import load_dataset  # noqa: E402
 from repro.forwarding import ForwardingSimulator, PoissonMessageWorkload  # noqa: E402
 from repro.routing import protocol_by_name, protocol_names  # noqa: E402
-from repro.sim import DesSimulator  # noqa: E402
+from repro.scenario.traces import GridRandomWaypointTraceSpec  # noqa: E402
+from repro.sim import DesSimulator, VectorSimulator  # noqa: E402
 
 DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_routing.json"
+
+#: the city-scale hook-path probe (``rwp-grid`` geometry of the 1k city)
+CITY_1K = GridRandomWaypointTraceSpec(
+    num_nodes=1000, duration=300.0, step=30.0, width=1100.0, height=1100.0,
+    radio_range=20.0, name="rwp-grid-city-1k")
+CITY_1K_PROTOCOLS = ("Epidemic", "PRoPHET", "Greedy Online", "FRESH")
 
 
 def _time_runs(factory, repeats: int) -> list:
@@ -42,6 +55,42 @@ def _time_runs(factory, repeats: int) -> list:
         factory()
         samples.append(time.perf_counter() - started)
     return samples
+
+
+def _city_1k(repeats: int) -> dict:
+    """Vector-engine times of the hook-path protocols on one 1000-node
+    city, with Epidemic's fast path as the yardstick."""
+    trace = CITY_1K.build(seed=1)
+    messages = PoissonMessageWorkload(
+        rate=0.2, generation_window=(0.0, CITY_1K.duration / 2)
+    ).generate(trace, seed=77)
+    print(f"\ncity_1k: {trace.num_nodes} nodes, {len(trace)} contacts, "
+          f"{len(messages)} messages, engine vector\n")
+    records = {}
+    for name in CITY_1K_PROTOCOLS:
+        result = VectorSimulator(trace, protocol_by_name(name)).run(messages)
+        samples = _time_runs(
+            lambda: VectorSimulator(trace, protocol_by_name(name)).run(messages),
+            repeats)
+        records[name] = {
+            "vector_s": statistics.median(samples),
+            "success_rate": result.summary()["success_rate"],
+            "copies_sent": result.copies_sent,
+            "samples": {"vector": samples},
+        }
+        print(f"  {name:<22s} vector {records[name]['vector_s'] * 1e3:8.1f} ms   "
+              f"success {records[name]['success_rate']:5.2f}")
+    ratio = records["PRoPHET"]["vector_s"] / records["Epidemic"]["vector_s"]
+    print(f"  PRoPHET / Epidemic: {ratio:.2f}x")
+    return {
+        "trace": trace.name,
+        "nodes": trace.num_nodes,
+        "contacts": len(trace),
+        "num_messages": len(messages),
+        "engine": "vector",
+        "records": records,
+        "prophet_vs_epidemic_ratio": ratio,
+    }
 
 
 def main() -> None:
@@ -97,6 +146,7 @@ def main() -> None:
         "repeats": repeats,
         "python": platform.python_version(),
         "records": records,
+        "city_1k": _city_1k(repeats),
     }
     with open(args.benchmark_json, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 from ..contacts import ContactTrace, NodeId
 from ..forwarding.history import OnlineContactHistory
@@ -213,6 +215,29 @@ class ProphetProtocol(RoutingProtocol):
     A copy is forwarded when the peer's predictability for the destination
     is strictly higher than the carrier's (the paper's tie-refusing
     utility-gradient rule, which also prevents ping-ponging).
+
+    **State layout.**  ``prepare(trace)`` interns the trace's nodes to
+    indices ``0..n-1`` and allocates one dense ``float64`` matrix:
+    row ``P[i]`` is node *i*'s whole table, ``P[i, j]`` its predictability
+    for node *j*, and a zero entry stands for "never learned".  A second,
+    per-node column records when each row was last aged (NaN until first
+    touched).  A node the trace did not name (the hooks may be driven
+    without ``prepare``) is interned on first touch; the matrix doubles
+    when it is full.  Memory is ``8 n^2`` bytes: 8 MB at 1 000 nodes,
+    800 MB at 10 000.  Each contact is a handful of row operations, so
+    the per-contact cost is a few vectorised passes over ``n`` floats
+    instead of a Python walk over the peer's table.
+
+    **Bit-identity.**  The results equal those of per-node dict tables
+    bit for bit, with no tolerance: (1) the row operations apply the same
+    IEEE multiplies in the same order, ``(via * p) * beta`` for
+    transitivity and one aging factor per row touch, aged eagerly under
+    the same ``now > last`` guard; (2) ``np.maximum`` equals the
+    strict-``>`` update on the finite, non-negative values the entries
+    take; (3) a zero entry behaves exactly like an absent key, for aging
+    (``0 * factor == 0``), transitivity (it lifts nothing) and reads.
+    Direction two of the transitivity update reads the row direction one
+    just wrote, as the dict version did.
     """
 
     name = "PRoPHET"
@@ -233,24 +258,44 @@ class ProphetProtocol(RoutingProtocol):
         self.beta = beta
         self.gamma = gamma
         self.aging_interval = aging_interval
-        self._tables: Dict[NodeId, Dict[NodeId, float]] = {}
-        self._last_update: Dict[NodeId, float] = {}
+        self._reset(())
 
     def prepare(self, trace: ContactTrace) -> None:
-        self._tables = {}
-        self._last_update = {}
+        self._reset(trace.nodes)
+
+    def _reset(self, nodes: Iterable[NodeId]) -> None:
+        self._index: Dict[NodeId, int] = {
+            node: index for index, node in enumerate(nodes)}
+        size = max(len(self._index), 1)
+        self._p = np.zeros((size, size))
+        self._scratch = np.empty(size)
+        self._last: List[float] = [math.nan] * size
+
+    def _add(self, node: NodeId) -> int:
+        """Intern *node*, doubling the matrix when it is full."""
+        index = self._index[node] = len(self._index)
+        size = len(self._last)
+        if index == size:
+            grown = np.zeros((2 * size, 2 * size))
+            grown[:size, :size] = self._p
+            self._p = grown
+            self._scratch = np.empty(2 * size)
+            self._last.extend([math.nan] * size)
+        return index
 
     # ------------------------------------------------------------------
-    def _age(self, node: NodeId, now: float) -> Dict[NodeId, float]:
-        """Age *node*'s table to *now* and return it."""
-        table = self._tables.setdefault(node, {})
-        last = self._last_update.get(node)
-        if last is not None and now > last:
-            factor = self.gamma ** ((now - last) / self.aging_interval)
-            for other in table:
-                table[other] *= factor
-        self._last_update[node] = max(now, last if last is not None else now)
-        return table
+    def _age(self, node: NodeId, now: float) -> int:
+        """Age *node*'s row to *now* and return its index."""
+        index = self._index.get(node)
+        if index is None:
+            index = self._add(node)
+        last = self._last[index]
+        if now > last:
+            row = self._p[index]
+            row *= self.gamma ** ((now - last) / self.aging_interval)
+        if not last > now:  # max(now, last); a NaN (never aged) gives now
+            self._last[index] = now
+        return index
 
     def predictability(self, node: NodeId, other: NodeId,
                        now: Optional[float] = None) -> float:
@@ -258,24 +303,31 @@ class ProphetProtocol(RoutingProtocol):
         if node == other:
             return 1.0
         if now is not None:
-            return self._age(node, now).get(other, 0.0)
-        return self._tables.get(node, {}).get(other, 0.0)
+            index = self._age(node, now)
+        else:
+            index = self._index.get(node)
+            if index is None:
+                return 0.0
+        column = self._index.get(other)
+        return 0.0 if column is None else self._p.item(index, column)
 
     def on_contact_start(self, a, b, now, history) -> None:
-        table_a = self._age(a, now)
-        table_b = self._age(b, now)
-        table_a[b] = table_a.get(b, 0.0) + (1.0 - table_a.get(b, 0.0)) * self.p_encounter
-        table_b[a] = table_b.get(a, 0.0) + (1.0 - table_b.get(a, 0.0)) * self.p_encounter
+        i = self._age(a, now)
+        j = self._age(b, now)
+        p = self._p
+        p_ab = p.item(i, j)
+        p[i, j] = p_ab + (1.0 - p_ab) * self.p_encounter
+        p_ba = p.item(j, i)
+        p[j, i] = p_ba + (1.0 - p_ba) * self.p_encounter
         # transitivity: each endpoint learns through the other
-        for mine, theirs, self_node, other_node in (
-                (table_a, table_b, a, b), (table_b, table_a, b, a)):
-            via = mine[other_node]
-            for c, p_theirs in list(theirs.items()):
-                if c == self_node or c == other_node:
-                    continue
-                lifted = via * p_theirs * self.beta
-                if lifted > mine.get(c, 0.0):
-                    mine[c] = lifted
+        scratch = self._scratch
+        for mine, theirs in ((i, j), (j, i)):
+            np.multiply(p[theirs], p.item(mine, theirs), out=scratch)
+            scratch *= self.beta
+            scratch[mine] = 0.0
+            scratch[theirs] = 0.0
+            row = p[mine]
+            np.maximum(row, scratch, out=row)
 
     def should_forward(self, carrier, peer, message, now, history) -> bool:
         destination = message.destination
