@@ -2,7 +2,7 @@
 """Benchmark: the protocol zoo on the paper dataset stand-ins.
 
 Times one Poisson-workload replay of every registered protocol (the paper
-six through the compatibility wrapper plus the stateful zoo) in both
+six plus the stateful zoo) in both
 engines on the benchmark-scale primary dataset, and records the delivery /
 overhead profile (success rate, copies per delivery) so the routing
 subsystem's perf *and* quality trajectory is tracked across PRs.

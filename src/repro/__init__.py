@@ -12,11 +12,11 @@ The library is organised in layers (see DESIGN.md):
   valid path enumeration, path-explosion analysis, in/out pair types, and the
   hop-gradient analysis;
 * :mod:`repro.model` — the analytic path-explosion model of Section 5;
-* :mod:`repro.forwarding` — the trace-driven simulator and the six
-  forwarding algorithms of Section 6;
-* :mod:`repro.routing` — the stateful protocol zoo (spray-and-wait,
-  PRoPHET, hypergossip, …), the compatibility wrapper running the paper's
-  algorithms under the protocol API, and the cross-scenario tournament;
+* :mod:`repro.forwarding` — the trace-driven simulator, the
+  ``RoutingProtocol`` API and the six forwarding algorithms of Section 6;
+* :mod:`repro.routing` — the protocol lifecycle, the stateful protocol zoo
+  (spray-and-wait, PRoPHET, hypergossip, …), the protocol registry and the
+  cross-scenario tournament;
 * :mod:`repro.scenario` — the declarative, serializable scenario spec API:
   kind-tagged trace/workload/constraint specs, the spec-type registry and
   JSON round-tripping;

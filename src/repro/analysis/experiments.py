@@ -27,9 +27,9 @@ from ..core import (
 )
 from ..forwarding import (
     ComparisonResult,
-    ForwardingAlgorithm,
     Message,
     PoissonMessageWorkload,
+    RoutingProtocol,
     compare_algorithms,
     default_algorithms,
     simulate,
@@ -115,7 +115,7 @@ def run_path_explosion_study(
 
 def run_forwarding_study(
     trace: ContactTrace,
-    algorithms: Optional[Sequence[ForwardingAlgorithm]] = None,
+    algorithms: Optional[Sequence[RoutingProtocol]] = None,
     message_rate: float = 0.25,
     num_runs: int = 1,
     seed: Union[int, np.random.Generator, None] = 0,
@@ -171,7 +171,7 @@ def run_constraint_sweep(
 def message_delays_by_algorithm(
     trace: ContactTrace,
     message: Message,
-    algorithms: Optional[Sequence[ForwardingAlgorithm]] = None,
+    algorithms: Optional[Sequence[RoutingProtocol]] = None,
 ) -> Dict[str, Optional[float]]:
     """Delivery delay of one specific message under each algorithm.
 

@@ -3,11 +3,11 @@
 from .algorithms import (
     DynamicProgrammingForwarding,
     EpidemicForwarding,
-    ForwardingAlgorithm,
     FreshForwarding,
     GreedyForwarding,
     GreedyOnlineForwarding,
     GreedyTotalForwarding,
+    RoutingProtocol,
     UtilityForwarding,
     default_algorithms,
 )
@@ -27,11 +27,11 @@ from .simulator import DeliveryOutcome, ForwardingSimulator, SimulationResult, s
 __all__ = [
     "DynamicProgrammingForwarding",
     "EpidemicForwarding",
-    "ForwardingAlgorithm",
     "FreshForwarding",
     "GreedyForwarding",
     "GreedyOnlineForwarding",
     "GreedyTotalForwarding",
+    "RoutingProtocol",
     "UtilityForwarding",
     "default_algorithms",
     "OnlineContactHistory",

@@ -1,13 +1,16 @@
-"""The six forwarding algorithms evaluated in Section 6 of the paper.
+"""The forwarding-protocol API and the six algorithms of Section 6.
 
-All algorithms share the same contract (:class:`ForwardingAlgorithm`): given
+Every forwarding strategy — the paper's six heuristics here and the
+stateful zoo of :mod:`repro.routing.protocols` — implements
+:class:`RoutingProtocol` (lifecycle in :mod:`repro.routing.base`): given
 that a *carrier* holding a copy of a message is in contact with a *peer*,
 ``should_forward`` decides whether the peer receives a copy.  Delivery to the
 destination itself is not an algorithm decision — every reasonable algorithm
 delivers on contact with the destination (the paper's *minimal progress*
 assumption) and the simulator enforces it.
 
-The algorithms span the paper's design axes:
+The paper's six are per-contact tests that keep no per-node state and use
+none of the lifecycle hooks.  They span the paper's design axes:
 
 ====================  ===========  =========  =====================
 algorithm             destination  hop scope  knowledge
@@ -25,14 +28,15 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..contacts import ContactTrace, NodeId
 from .history import OnlineContactHistory
 from .meed import MeedTable
+from .messages import Message
 
 __all__ = [
-    "ForwardingAlgorithm",
+    "RoutingProtocol",
     "UtilityForwarding",
     "EpidemicForwarding",
     "FreshForwarding",
@@ -46,38 +50,106 @@ __all__ = [
 ]
 
 
-class ForwardingAlgorithm(ABC):
+class RoutingProtocol(ABC):
     """Interface implemented by every forwarding strategy.
 
-    Subclasses may override :meth:`prepare` to precompute oracle state from
-    the full trace (only the future-knowledge algorithms do).
+    The lifecycle (``prepare``, the hooks and ``should_forward``) is
+    described in :mod:`repro.routing.base`; every engine calls it at the
+    same points in the same event order.
     """
 
-    #: Human-readable name used in result tables and figures.
+    #: Human-readable name used in result tables and the leaderboard.
     name: str = "abstract"
 
-    #: Whether the algorithm needs the full trace ahead of time.
+    #: Whether the protocol needs the full trace ahead of time.
     uses_future_knowledge: bool = False
 
-    def prepare(self, trace: ContactTrace) -> None:
-        """Precompute any oracle state.  Called once before simulation."""
+    #: Whether the protocol keeps per-node state between decisions.
+    stateful: bool = True
 
+    #: Short description of the replication discipline for the zoo table
+    #: ("flooding", "single-copy", "L copies", "probabilistic", "utility").
+    replication: str = "flooding"
+
+    #: What the protocol knows ("none", "history", "oracle", "learned").
+    knowledge: str = "none"
+
+    #: Whether the vector engine may skip history recording and the
+    #: per-contact hooks for this protocol: it neither reads the online
+    #: contact history nor implements ``on_contact_start``/``end``.  On a
+    #: large trace most contact events move no message, so this is where
+    #: most of the vector engine's per-event win comes from.
+    vector_fastpath: bool = False
+
+    vector_approvals: Optional[
+        Callable[[NodeId, NodeId, Sequence[Message], float], List[bool]]
+    ] = None
+    """Optional batch twin of ``should_forward`` for the vector engine.
+
+    ``vector_approvals(carrier, peer, messages, now)`` returns one verdict
+    per offered message, evaluated against the protocol's *current*
+    state, and must equal ``[should_forward(carrier, peer, m, now,
+    history) for m in messages]``.  The engine uses it only when
+    ``vector_fastpath`` is set, and only for candidates that already
+    survived its bitmask screen (the carrier holds a live copy, the peer
+    never held one).  It charges the same forwarding decisions and
+    approvals either way, so the resource counters of a vector run match
+    the DES engine's bit for bit.  ``None`` keeps the protocol on the
+    scalar decision path.
+
+    Batch evaluation is sound because judging one message never changes
+    the verdict of another in the same batch: ``on_forwarded`` (where
+    budgets are spent and tokens move) only touches the state of the
+    message that actually moved, which appears exactly once per batch.  A
+    protocol whose verdicts couple across messages must leave this
+    ``None``.
+    """
+
+    def prepare(self, trace: ContactTrace) -> None:
+        """Reset per-run state and precompute any oracle state.
+
+        Called once before every run; subclasses that keep state must
+        reset it here so that one instance can be run repeatedly.
+        """
+
+    # ------------------------------------------------------------------
+    # lifecycle hooks (default: no-ops)
+    # ------------------------------------------------------------------
+    def on_message_created(self, message: Message, now: float) -> None:
+        """*message* entered the network at ``message.source``."""
+
+    def on_contact_start(self, a: NodeId, b: NodeId, now: float,
+                         history: OnlineContactHistory) -> None:
+        """A contact between *a* and *b* opened at *now*."""
+
+    def on_contact_end(self, a: NodeId, b: NodeId, now: float,
+                       history: OnlineContactHistory) -> None:
+        """A contact between *a* and *b* closed at *now*."""
+
+    def on_forwarded(self, message: Message, carrier: NodeId, peer: NodeId,
+                     now: float) -> None:
+        """A copy of *message* actually moved from *carrier* to *peer*."""
+
+    def on_delivered(self, message: Message, now: float) -> None:
+        """*message* reached its destination (first delivery only)."""
+
+    # ------------------------------------------------------------------
     @abstractmethod
     def should_forward(
         self,
         carrier: NodeId,
         peer: NodeId,
-        destination: NodeId,
+        message: Message,
         now: float,
         history: OnlineContactHistory,
     ) -> bool:
-        """Return True if *carrier* should hand a copy to *peer* now."""
+        """Return True if *carrier* should hand a copy of *message* to *peer*."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class UtilityForwarding(ForwardingAlgorithm):
+class UtilityForwarding(RoutingProtocol):
     """Forward when the peer's utility for the destination is strictly higher.
 
     The concrete algorithms below only differ in their utility function; ties
@@ -85,6 +157,10 @@ class UtilityForwarding(ForwardingAlgorithm):
     in particular prevents two nodes with no information from ping-ponging
     copies.
     """
+
+    stateful = False
+    replication = "utility"
+    knowledge = "history"
 
     @abstractmethod
     def utility(
@@ -100,26 +176,34 @@ class UtilityForwarding(ForwardingAlgorithm):
         self,
         carrier: NodeId,
         peer: NodeId,
-        destination: NodeId,
+        message: Message,
         now: float,
         history: OnlineContactHistory,
     ) -> bool:
+        destination = message.destination
         return (self.utility(peer, destination, now, history)
                 > self.utility(carrier, destination, now, history))
 
 
-class EpidemicForwarding(ForwardingAlgorithm):
+class EpidemicForwarding(RoutingProtocol):
     """Flooding [Vahdat & Becker]: hand a copy to every encountered node.
 
     Epidemic forwarding finds the optimal path whenever one exists, so it
     upper-bounds both success rate and delay for every other algorithm — the
-    paper uses it as the reference throughout.
+    paper uses it as the reference throughout.  It consults neither the
+    contact history nor any hook, so the vector engine runs it on the fast
+    path.
     """
 
     name = "Epidemic"
+    stateful = False
+    vector_fastpath = True
 
-    def should_forward(self, carrier, peer, destination, now, history) -> bool:
+    def should_forward(self, carrier, peer, message, now, history) -> bool:
         return True
+
+    def vector_approvals(self, carrier, peer, messages, now):
+        return [True] * len(messages)
 
 
 class FreshForwarding(UtilityForwarding):
@@ -173,6 +257,7 @@ class GreedyTotalForwarding(UtilityForwarding):
 
     name = "Greedy Total"
     uses_future_knowledge = True
+    knowledge = "oracle"
 
     def __init__(self) -> None:
         self._totals: Dict[NodeId, int] = {}
@@ -186,7 +271,7 @@ class GreedyTotalForwarding(UtilityForwarding):
         return float(self._totals.get(node, 0))
 
 
-class DynamicProgrammingForwarding(ForwardingAlgorithm):
+class DynamicProgrammingForwarding(RoutingProtocol):
     """Dynamic Programming (Minimum Expected Delay, destination aware, oracle).
 
     Pairwise expected delays are computed from the full trace; the message is
@@ -198,6 +283,9 @@ class DynamicProgrammingForwarding(ForwardingAlgorithm):
 
     name = "Dynamic Programming"
     uses_future_knowledge = True
+    stateful = False
+    replication = "utility"
+    knowledge = "oracle"
 
     def __init__(self) -> None:
         self._table: Optional[MeedTable] = None
@@ -211,12 +299,13 @@ class DynamicProgrammingForwarding(ForwardingAlgorithm):
             raise RuntimeError("DynamicProgrammingForwarding.prepare() was not called")
         return self._table
 
-    def should_forward(self, carrier, peer, destination, now, history) -> bool:
+    def should_forward(self, carrier, peer, message, now, history) -> bool:
         table = self.table
+        destination = message.destination
         return table.distance(peer, destination) < table.distance(carrier, destination)
 
 
-def default_algorithms() -> List[ForwardingAlgorithm]:
+def default_algorithms() -> List[RoutingProtocol]:
     """Fresh instances of the six algorithms compared in the paper."""
     return [
         EpidemicForwarding(),
@@ -250,7 +339,7 @@ def algorithm_names() -> List[str]:
     return list(_ALGORITHM_CLASSES)
 
 
-def algorithm_by_name(name: str) -> ForwardingAlgorithm:
+def algorithm_by_name(name: str) -> RoutingProtocol:
     """A fresh, unprepared instance of the named algorithm."""
     try:
         cls = _ALGORITHM_CLASSES[name]

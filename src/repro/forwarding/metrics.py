@@ -23,7 +23,7 @@ import numpy as np
 
 from ..contacts import ContactTrace
 from ..core.pair_types import PairType, RateClassification, classify_nodes
-from .algorithms import ForwardingAlgorithm
+from .algorithms import RoutingProtocol
 from .messages import Message, PoissonMessageWorkload
 from .simulator import DeliveryOutcome, ForwardingSimulator, SimulationResult
 
@@ -255,7 +255,7 @@ def _init_simulation_worker(trace: ContactTrace) -> None:
 
 
 def _run_simulation_job(
-    job: Tuple[ForwardingAlgorithm, Sequence[Message], str],
+    job: Tuple[RoutingProtocol, Sequence[Message], str],
 ) -> SimulationResult:
     """Top-level worker for the parallel comparison (must be picklable)."""
     algorithm, run_messages, copy_semantics = job
@@ -266,7 +266,7 @@ def _run_simulation_job(
 
 def compare_algorithms(
     trace: ContactTrace,
-    algorithms: Sequence[ForwardingAlgorithm],
+    algorithms: Sequence[RoutingProtocol],
     workload: Optional[PoissonMessageWorkload] = None,
     messages: Optional[Sequence[Message]] = None,
     num_runs: int = 1,

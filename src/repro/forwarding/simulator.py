@@ -37,16 +37,13 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..contacts import Contact, ContactTrace, NodeId
 from ..core.fastpath import NodeInterner
-from .algorithms import ForwardingAlgorithm
+from .algorithms import RoutingProtocol
 from .history import OnlineContactHistory
 from .messages import Message
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from ..routing.base import RoutingProtocol
 
 __all__ = ["DeliveryOutcome", "SimulationResult", "ForwardingSimulator", "simulate"]
 
@@ -208,13 +205,11 @@ class ForwardingSimulator:
     trace:
         The contact trace to replay.
     algorithm:
-        The forwarding strategy: a legacy
-        :class:`~repro.forwarding.ForwardingAlgorithm` (wrapped
-        transparently, behaviour byte-identical) or a stateful
-        :class:`~repro.routing.RoutingProtocol`.  ``prepare`` is called
-        once per run with the full trace; protocols additionally receive
-        the lifecycle hooks (message creation, contact start/end,
-        forwarded, delivered) in event order.
+        The forwarding strategy, a
+        :class:`~repro.routing.RoutingProtocol` (one of the paper's six
+        or a stateful zoo protocol).  ``prepare`` is called once per run
+        with the full trace, then the lifecycle hooks (message creation,
+        contact start/end, forwarded, delivered) fire in event order.
     copy_semantics:
         ``"copy"`` (default) — the carrier keeps its copy after forwarding,
         as assumed throughout the paper (infinite buffers, nodes hold
@@ -237,18 +232,16 @@ class ForwardingSimulator:
     def __init__(
         self,
         trace: ContactTrace,
-        algorithm: Union[ForwardingAlgorithm, "RoutingProtocol"],
+        algorithm: RoutingProtocol,
         copy_semantics: str = "copy",
         stop_on_delivery: bool = True,
         tracer=None,
         telemetry=None,
     ) -> None:
-        from ..routing.compat import ensure_protocol
-
         if copy_semantics not in ("copy", "handoff"):
             raise ValueError("copy_semantics must be 'copy' or 'handoff'")
         self._trace = trace
-        self._protocol = ensure_protocol(algorithm)
+        self._protocol = algorithm
         self._copy = copy_semantics == "copy"
         self._stop_on_delivery = stop_on_delivery
         self._tracer = tracer
@@ -452,7 +445,7 @@ class ForwardingSimulator:
 
 def simulate(
     trace: ContactTrace,
-    algorithm: Union[ForwardingAlgorithm, "RoutingProtocol"],
+    algorithm: RoutingProtocol,
     messages: Sequence[Message],
     copy_semantics: str = "copy",
     stop_on_delivery: bool = True,

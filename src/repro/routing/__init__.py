@@ -1,9 +1,9 @@
 """Stateful routing protocols and the cross-scenario tournament harness.
 
 This package generalises the paper's stateless per-contact forwarding test
-into a full protocol lifecycle (:mod:`repro.routing.base`), runs the six
-paper algorithms unchanged under it (:mod:`repro.routing.compat`), adds a
-zoo of stateful protocols from the DTN literature
+into a full protocol lifecycle (:mod:`repro.routing.base`), which the six
+paper algorithms (:mod:`repro.forwarding.algorithms`) implement directly,
+adds a zoo of stateful protocols from the DTN literature
 (:mod:`repro.routing.protocols`), selects protocols by name through a
 registry (:mod:`repro.routing.registry`) and ranks everything across the
 scenario catalogue (:mod:`repro.routing.tournament`, imported lazily —
@@ -19,8 +19,6 @@ Command line::
 """
 
 from .base import RoutingProtocol
-from .compat import AlgorithmProtocol, ensure_protocol
-from .vector import VectorProtocol
 from .protocols import (
     BinarySprayAndWaitProtocol,
     DirectDeliveryProtocol,
@@ -40,9 +38,6 @@ from .registry import (
 
 __all__ = [
     "RoutingProtocol",
-    "AlgorithmProtocol",
-    "ensure_protocol",
-    "VectorProtocol",
     "BinarySprayAndWaitProtocol",
     "DirectDeliveryProtocol",
     "FirstContactProtocol",

@@ -37,7 +37,6 @@ from ..contacts import ContactTrace, NodeId
 from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
 from .base import RoutingProtocol
-from .vector import VectorProtocol
 
 __all__ = [
     "DirectDeliveryProtocol",
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 
-class DirectDeliveryProtocol(VectorProtocol, RoutingProtocol):
+class DirectDeliveryProtocol(RoutingProtocol):
     """Hold the message until the source meets the destination itself.
 
     The cheapest possible protocol (exactly one copy, zero transfers) and
@@ -61,6 +60,7 @@ class DirectDeliveryProtocol(VectorProtocol, RoutingProtocol):
     stateful = False
     replication = "single-copy"
     knowledge = "none"
+    vector_fastpath = True
 
     def should_forward(self, carrier, peer, message, now, history) -> bool:
         return False  # minimal progress already covers the destination
@@ -69,7 +69,7 @@ class DirectDeliveryProtocol(VectorProtocol, RoutingProtocol):
         return [False] * len(messages)
 
 
-class FirstContactProtocol(VectorProtocol, RoutingProtocol):
+class FirstContactProtocol(RoutingProtocol):
     """Single-copy relay: the token moves to the first *new* peer met.
 
     The current owner hands the (logical) single copy to the first
@@ -81,6 +81,7 @@ class FirstContactProtocol(VectorProtocol, RoutingProtocol):
     name = "First Contact"
     replication = "single-copy"
     knowledge = "none"
+    vector_fastpath = True
 
     def __init__(self) -> None:
         self._owner: Dict[int, NodeId] = {}
@@ -103,7 +104,7 @@ class FirstContactProtocol(VectorProtocol, RoutingProtocol):
         return [owner.get(m.id) == carrier for m in messages]
 
 
-class _SprayAndWaitBase(VectorProtocol, RoutingProtocol):
+class _SprayAndWaitBase(RoutingProtocol):
     """Shared copy-budget bookkeeping of the two spray-and-wait variants.
 
     ``copies`` maps message id -> {node: logical copies held}.  The budget
@@ -115,6 +116,7 @@ class _SprayAndWaitBase(VectorProtocol, RoutingProtocol):
 
     replication = "L copies"
     knowledge = "none"
+    vector_fastpath = True
 
     def __init__(self, copies: int = 8) -> None:
         if copies < 1:
@@ -335,7 +337,7 @@ class ProphetProtocol(RoutingProtocol):
                 > self.predictability(carrier, destination, now))
 
 
-class HypergossipProtocol(VectorProtocol, RoutingProtocol):
+class HypergossipProtocol(RoutingProtocol):
     """Hypergossip-style probabilistic flooding.
 
     Epidemic forwarding where every (message, carrier, peer) offer passes a
@@ -352,6 +354,7 @@ class HypergossipProtocol(VectorProtocol, RoutingProtocol):
     stateful = False
     replication = "probabilistic"
     knowledge = "none"
+    vector_fastpath = True
 
     def __init__(self, p: float = 0.7, seed: int = 0) -> None:
         if not 0.0 <= p <= 1.0:

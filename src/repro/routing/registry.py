@@ -4,9 +4,9 @@ Scenarios, the CLI and the tournament select protocols *by name*; instances
 are created fresh per run, so parallel runners ship the name to worker
 processes instead of pickling prepared oracle or learned state (the same
 contract :mod:`repro.forwarding.algorithms` established for the paper's
-six).  The paper algorithms are registered under their existing display
-names via the compatibility wrapper, so every engine-facing call site can
-use this registry as the single lookup.
+six).  The paper's six are registered by class under their display names
+next to the zoo, so every engine-facing call site can use this registry as
+the single lookup.
 
 Lookup is forgiving about capitalisation and separators (``prophet``,
 ``binary-spray-and-wait`` and ``Binary Spray-and-Wait`` all resolve), which
@@ -19,7 +19,6 @@ from typing import Callable, Dict, List
 
 from ..forwarding.algorithms import _ALGORITHM_CLASSES
 from .base import RoutingProtocol
-from .compat import AlgorithmProtocol
 from .protocols import (
     BinarySprayAndWaitProtocol,
     DirectDeliveryProtocol,
@@ -93,19 +92,16 @@ def protocol_catalogue() -> List[Dict[str, object]]:
             "replication": protocol.replication,
             "knowledge": protocol.knowledge,
             "oracle": "yes" if protocol.uses_future_knowledge else "no",
-            "vector": ("fast-path" if getattr(protocol, "vector_fastpath",
-                                              False) else "hooks"),
+            "vector": "fast-path" if protocol.vector_fastpath else "hooks",
         })
     return rows
 
 
 # ----------------------------------------------------------------------
-# the catalogue: paper six (wrapped) + the stateful zoo
+# the catalogue: paper six + the stateful zoo
 # ----------------------------------------------------------------------
-for _name, _cls in _ALGORITHM_CLASSES.items():
-    register_protocol(_name, (lambda cls=_cls: AlgorithmProtocol(cls())))
-
 for _protocol_cls in (
+    *_ALGORITHM_CLASSES.values(),
     DirectDeliveryProtocol,
     FirstContactProtocol,
     BinarySprayAndWaitProtocol,

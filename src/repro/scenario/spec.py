@@ -170,9 +170,8 @@ class ScenarioSpec(SpecBase):
     def build_algorithms(self) -> List["RoutingProtocol"]:
         """Fresh, unprepared protocol instances of the scenario's strategies.
 
-        Paper algorithm names come back wrapped in the protocol API (their
-        behaviour is byte-identical); zoo names come back as the stateful
-        protocols.  Both engines accept the instances directly.
+        Paper algorithm names and zoo names alike resolve through the
+        protocol registry.  Every engine accepts the instances directly.
         """
         from ..routing.registry import protocol_by_name
 

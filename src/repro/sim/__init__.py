@@ -12,7 +12,6 @@ the trace-driven :class:`repro.forwarding.ForwardingSimulator`; the paper's
 six forwarding algorithms run unchanged in both engines.
 """
 
-from .adapter import AlgorithmAdapter, ensure_adapter
 from .buffers import (
     DROP_LARGEST,
     DROP_OLDEST,
@@ -46,8 +45,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "AlgorithmAdapter",
-    "ensure_adapter",
     "DROP_LARGEST",
     "DROP_OLDEST",
     "DROP_POLICIES",

@@ -1,88 +1,33 @@
-"""Adapter running forwarding strategies in the DES engine.
+"""Per-run forwarding-decision accounting for the DES and vector engines.
 
-The DES engine talks to one :class:`AlgorithmAdapter`, which normalises
-whatever it is given — one of the paper's six
-:class:`~repro.forwarding.ForwardingAlgorithm` implementations (used
-*unchanged*) or a stateful :class:`~repro.routing.RoutingProtocol` — into
-the protocol lifecycle via :func:`repro.routing.ensure_protocol`, and adds
-decision accounting, which the resource-constrained result reports.
-
-The engine invokes the lifecycle hooks (message created, contact
-start/end, forwarded, delivered) at the same points and in the same event
-order as the trace-driven simulator, so protocols behave identically in
-both engines when constraints are disabled.  One deliberate difference
-under constraints: ``on_forwarded`` — where replication budgets are spent —
-fires only when a copy is actually received, so a transfer rejected by a
-full buffer costs no budget.
+Both engines call the :class:`~repro.routing.RoutingProtocol` lifecycle
+hooks directly.  The one thing they add on top is a count of forwarding
+decisions and approvals, which the resource-constrained result reports: each
+run routes its scalar ``should_forward`` calls through a fresh
+:class:`AlgorithmAdapter`, and the vector engine charges its batched
+verdicts to the same counters.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
-from ..contacts import ContactTrace, NodeId
-from ..forwarding.algorithms import ForwardingAlgorithm
+from ..contacts import NodeId
 from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
 from ..routing.base import RoutingProtocol
-from ..routing.compat import ensure_protocol
 
-__all__ = ["AlgorithmAdapter", "ensure_adapter"]
+__all__ = ["AlgorithmAdapter"]
 
 
 class AlgorithmAdapter:
-    """Wraps a forwarding strategy for the DES engine."""
+    """Counts the forwarding decisions and approvals of one run."""
 
     __slots__ = ("protocol", "decisions", "approvals")
 
-    def __init__(
-        self, algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
-    ) -> None:
-        self.protocol = ensure_protocol(algorithm)
+    def __init__(self, protocol: RoutingProtocol) -> None:
+        self.protocol = protocol
         self.decisions = 0
         self.approvals = 0
 
-    @property
-    def name(self) -> str:
-        return self.protocol.name
-
-    @property
-    def algorithm(self):
-        """The wrapped strategy (unwrapped to the legacy algorithm when
-        the protocol is a compatibility wrapper)."""
-        return getattr(self.protocol, "algorithm", self.protocol)
-
-    def reset_counters(self) -> None:
-        """Zero the decision counters (called at the start of every run)."""
-        self.decisions = 0
-        self.approvals = 0
-
-    def prepare(self, trace: ContactTrace) -> None:
-        """Reset per-run protocol state and precompute any oracle state."""
-        self.protocol.prepare(trace)
-
-    # ------------------------------------------------------------------
-    # lifecycle pass-throughs
-    # ------------------------------------------------------------------
-    def on_message_created(self, message: Message, now: float) -> None:
-        self.protocol.on_message_created(message, now)
-
-    def on_contact_start(self, a: NodeId, b: NodeId, now: float,
-                         history: OnlineContactHistory) -> None:
-        self.protocol.on_contact_start(a, b, now, history)
-
-    def on_contact_end(self, a: NodeId, b: NodeId, now: float,
-                       history: OnlineContactHistory) -> None:
-        self.protocol.on_contact_end(a, b, now, history)
-
-    def on_forwarded(self, message: Message, carrier: NodeId, peer: NodeId,
-                     now: float) -> None:
-        self.protocol.on_forwarded(message, carrier, peer, now)
-
-    def on_delivered(self, message: Message, now: float) -> None:
-        self.protocol.on_delivered(message, now)
-
-    # ------------------------------------------------------------------
     def should_forward(
         self,
         carrier: NodeId,
@@ -99,13 +44,4 @@ class AlgorithmAdapter:
         return verdict
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<AlgorithmAdapter {self.name!r}>"
-
-
-def ensure_adapter(
-    algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
-) -> AlgorithmAdapter:
-    """Wrap *algorithm* unless it is already adapted."""
-    if isinstance(algorithm, AlgorithmAdapter):
-        return algorithm
-    return AlgorithmAdapter(algorithm)
+        return f"<AlgorithmAdapter {self.protocol.name!r}>"

@@ -21,7 +21,7 @@ queue, no simpy dependency) that relaxes each assumption independently via
   after a propagation delay plus uniform jitter;
 * **node churn** (:class:`repro.sim.faults.ChurnSpec`) — a seeded crash/
   reboot schedule: a crash wipes the node's buffer and truncates its open
-  contacts (the adapter's ``on_contact_end`` hook fires early, so stateful
+  contacts (the protocol's ``on_contact_end`` hook fires early, so stateful
   protocols observe the loss), and a down node neither sends, receives nor
   sources messages until it reboots.
 
@@ -66,29 +66,28 @@ byte-identical draws):
   bytes were on the air), but are cancelled if the receiver is down, the
   message expired or was already delivered (in stop mode).
 * A crash truncates every open contact of the node: the bookkeeping and the
-  adapter's ``on_contact_end`` fire at crash time and the trace's own later
-  ``CONTACT_END`` for those contacts is suppressed.  A contact that starts
-  while either endpoint is down is skipped entirely.  A node that lost its
-  copy to a crash never re-receives that message (the ``ever_held``
-  relation, as with evictions).  A message created at a down source counts
-  as a source rejection.
+  protocol's ``on_contact_end`` hook run at crash time and the trace's own
+  later ``CONTACT_END`` for those contacts is suppressed.  A contact that
+  starts while either endpoint is down is skipped entirely.  A node that
+  lost its copy to a crash never re-receives that message (the
+  ``ever_held`` relation, as with evictions).  A message created at a down
+  source counts as a source rejection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..contacts import Contact, ContactTrace
 from ..core.fastpath import NodeInterner
-from ..forwarding.algorithms import ForwardingAlgorithm
 from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
 from ..forwarding.simulator import DeliveryOutcome, SimulationResult
 from ..routing.base import RoutingProtocol
 from ..scenario.base import ConstraintSpec, register_spec
 from ..synth.seeding import derive_rng
-from .adapter import AlgorithmAdapter, ensure_adapter
+from .adapter import AlgorithmAdapter
 from .buffers import DROP_OLDEST, DROP_POLICIES, BufferEntry, NodeBuffer
 from .events import (
     CONTACT_END,
@@ -392,9 +391,9 @@ class DesSimulator:
     trace:
         The contact trace to replay.
     algorithm:
-        A :class:`~repro.forwarding.ForwardingAlgorithm` or stateful
-        :class:`~repro.routing.RoutingProtocol` (both adapted
-        automatically), or an :class:`AlgorithmAdapter`.
+        The forwarding strategy, a
+        :class:`~repro.routing.RoutingProtocol`; its lifecycle hooks fire
+        at the same points as in the trace-driven simulator.
     constraints:
         The resource limits; defaults to :data:`UNCONSTRAINED`, in which
         case the run is delivery-stream-equivalent to
@@ -421,7 +420,7 @@ class DesSimulator:
     def __init__(
         self,
         trace: ContactTrace,
-        algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
+        algorithm: RoutingProtocol,
         constraints: ResourceConstraints = UNCONSTRAINED,
         copy_semantics: str = "copy",
         stop_on_delivery: bool = True,
@@ -432,7 +431,7 @@ class DesSimulator:
         if copy_semantics not in ("copy", "handoff"):
             raise ValueError("copy_semantics must be 'copy' or 'handoff'")
         self._trace = trace
-        self._adapter = ensure_adapter(algorithm)
+        self._protocol = algorithm
         self._constraints = constraints
         self._copy = copy_semantics == "copy"
         self._stop_on_delivery = stop_on_delivery
@@ -463,8 +462,8 @@ class DesSimulator:
                 raise ValueError(
                     f"message {message.id}: unknown destination {message.destination}"
                 )
-        self._adapter.reset_counters()
-        self._adapter.prepare(self._trace)
+        self._counter = AlgorithmAdapter(self._protocol)
+        self._protocol.prepare(self._trace)
 
         interner = NodeInterner(self._trace.nodes)
         index_of = interner.index_of
@@ -509,7 +508,7 @@ class DesSimulator:
 
         telemetry = self._telemetry
         if telemetry is not None:
-            telemetry.begin(engine="des", algorithm=self._adapter.name)
+            telemetry.begin(engine="des", algorithm=self._protocol.name)
         buffers = state.buffers
         while queue:
             time, kind, _, payload = queue.pop()
@@ -549,11 +548,11 @@ class DesSimulator:
         stats = self._stats
         stats.peak_buffer_occupancy = max(
             (buffer.peak_used for buffer in state.buffers), default=0.0)
-        stats.forwarding_decisions = self._adapter.decisions
-        stats.forwarding_approvals = self._adapter.approvals
+        stats.forwarding_decisions = self._counter.decisions
+        stats.forwarding_approvals = self._counter.approvals
         self._state = None
         return ConstrainedSimulationResult(
-            algorithm=self._adapter.name, trace_name=self._trace.name,
+            algorithm=self._protocol.name, trace_name=self._trace.name,
             outcomes=outcomes, copies_sent=stats.copies_sent,
             constraints=self._constraints, stats=stats)
 
@@ -576,7 +575,8 @@ class DesSimulator:
         if self._tracer is not None:
             self._tracer.emit("contact_start", time, a=contact.a, b=contact.b)
         self._history.record(contact.a, contact.b, time)
-        self._adapter.on_contact_start(contact.a, contact.b, time, self._history)
+        self._protocol.on_contact_start(contact.a, contact.b, time,
+                                        self._history)
         pair = (a, b) if a <= b else (b, a)
         state.active_counts[pair] = state.active_counts.get(pair, 0) + 1
         state.active_peers[a].add(b)
@@ -595,7 +595,7 @@ class DesSimulator:
                         payload: Tuple[Contact, int, int]) -> None:
         state = self._state
         if state.severed and id(payload) in state.severed:
-            # truncated at a crash (bookkeeping and the adapter hook fired
+            # truncated at a crash (bookkeeping and the protocol hook fired
             # then) or never observed (an endpoint was down at the start)
             state.severed.discard(id(payload))
             return
@@ -613,7 +613,8 @@ class DesSimulator:
             state.active_counts[pair] = remaining
         if self._tracer is not None:
             self._tracer.emit("contact_end", time, a=contact.a, b=contact.b)
-        self._adapter.on_contact_end(contact.a, contact.b, time, self._history)
+        self._protocol.on_contact_end(contact.a, contact.b, time,
+                                      self._history)
 
     def _on_create(self, time: float, message: Message) -> None:
         state = self._state
@@ -630,7 +631,7 @@ class DesSimulator:
                 tracer.emit("drop", time, msg=message.id, node=message.source,
                             reason="source_rejected")
             return
-        self._adapter.on_message_created(message, time)
+        self._protocol.on_message_created(message, time)
         source = source_index
         entry = BufferEntry(message_id=message.id,
                             size=self._constraints.effective_size(message),
@@ -674,7 +675,7 @@ class DesSimulator:
         if tracer is not None:
             tracer.emit("crash", time, node=state.node_of[node])
         # truncate every open contact touching the node: the pair
-        # bookkeeping and the adapter's contact-end hook run now, and the
+        # bookkeeping and the protocol's contact-end hook run now, and the
         # trace's own CONTACT_END for these payloads is suppressed
         for payload_id, payload in list(state.open_payloads.items()):
             contact, a, b = payload
@@ -695,8 +696,8 @@ class DesSimulator:
             if tracer is not None:
                 tracer.emit("contact_end", time, a=contact.a, b=contact.b,
                             truncated=True)
-            self._adapter.on_contact_end(contact.a, contact.b, time,
-                                         self._history)
+            self._protocol.on_contact_end(contact.a, contact.b, time,
+                                          self._history)
         # the crash wipes the node's buffer: every carried copy is lost
         for message_id in list(state.carried[node]):
             self._drop_copy(node, message_id)
@@ -753,8 +754,8 @@ class DesSimulator:
             return
         node_of = state.node_of
         if peer != state.dest_index[message.id]:
-            self._adapter.on_forwarded(message, node_of[carrier],
-                                       node_of[peer], time)
+            self._protocol.on_forwarded(message, node_of[carrier],
+                                        node_of[peer], time)
             if self._tracer is not None:
                 self._tracer.emit("forward", time, msg=message.id,
                                   src=node_of[carrier], dst=node_of[peer],
@@ -804,7 +805,7 @@ class DesSimulator:
             return False
         is_destination = peer == state.dest_index[message_id]
         if not is_destination:
-            if not self._adapter.should_forward(
+            if not self._counter.should_forward(
                     state.node_of[carrier], state.node_of[peer],
                     message, time, self._history):
                 return False
@@ -819,8 +820,8 @@ class DesSimulator:
             # mirror the trace simulator: delivery neither triggers a
             # cascade from the destination nor a hand-off removal
             return True
-        self._adapter.on_forwarded(message, state.node_of[carrier],
-                                   state.node_of[peer], time)
+        self._protocol.on_forwarded(message, state.node_of[carrier],
+                                    state.node_of[peer], time)
         if self._tracer is not None:
             self._tracer.emit("forward", time, msg=message_id,
                               src=state.node_of[carrier],
@@ -952,7 +953,7 @@ class DesSimulator:
         stats.copies_sent += 1
         if is_destination and message_id not in state.delivered:
             state.delivered[message_id] = (time, hops)
-            self._adapter.on_delivered(message, time)
+            self._protocol.on_delivered(message, time)
             if self._tracer is not None:
                 self._tracer.emit("deliver", time, msg=message_id,
                                   node=state.node_of[peer], hops=hops,
@@ -998,7 +999,7 @@ class DesSimulator:
 
 def simulate_des(
     trace: ContactTrace,
-    algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
+    algorithm: RoutingProtocol,
     messages: Sequence[Message],
     constraints: ResourceConstraints = UNCONSTRAINED,
     copy_semantics: str = "copy",

@@ -23,13 +23,13 @@ magnitude faster:
   every carried message.  The screen only removes offers the DES engine's
   own pre-decision guards would reject, so the forwarding-decision
   counters still match exactly.
-* **batched protocol fast path** — protocols that mix in
-  :class:`repro.routing.vector.VectorProtocol` judge the surviving
-  candidates of a contact as one ``vector_approvals`` batch, and their
-  ``vector_fastpath`` flag lets the engine skip contact-history recording
-  and the per-contact lifecycle hooks (both no-ops for them).  Every
-  other protocol transparently falls back to the per-message
-  ``should_forward`` lifecycle API and still runs unchanged.
+* **batched protocol fast path** — protocols that set
+  ``vector_fastpath`` and implement ``vector_approvals`` (see
+  :class:`repro.routing.RoutingProtocol`) judge the surviving candidates
+  of a contact as one batch, and the flag lets the engine skip
+  contact-history recording and the per-contact lifecycle hooks (both
+  no-ops for them).  Every other protocol takes the per-message
+  ``should_forward`` path and still runs unchanged.
 * **buffered probes** — a supplied tracer is wrapped in
   :class:`repro.obs.BufferedTracer`, so ``obs`` tracing keeps working
   (same events, same order, same file bytes) without paying per-event
@@ -56,18 +56,17 @@ delegated run reports the engine that actually executed).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..contacts import ContactTrace
 from ..core.fastpath import NodeInterner
-from ..forwarding.algorithms import ForwardingAlgorithm
 from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
 from ..forwarding.simulator import DeliveryOutcome
 from ..routing.base import RoutingProtocol
-from .adapter import AlgorithmAdapter, ensure_adapter
+from .adapter import AlgorithmAdapter
 from .buffers import BufferEntry, NodeBuffer
 from .engine import (
     _KIND_NAMES,
@@ -93,7 +92,7 @@ class VectorSimulator:
     def __init__(
         self,
         trace: ContactTrace,
-        algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
+        algorithm: RoutingProtocol,
         constraints: ResourceConstraints = UNCONSTRAINED,
         copy_semantics: str = "copy",
         stop_on_delivery: bool = True,
@@ -104,7 +103,7 @@ class VectorSimulator:
         if copy_semantics not in ("copy", "handoff"):
             raise ValueError("copy_semantics must be 'copy' or 'handoff'")
         self._trace = trace
-        self._adapter = ensure_adapter(algorithm)
+        self._protocol = algorithm
         self._constraints = constraints
         self._copy = copy_semantics == "copy"
         self._stop_on_delivery = stop_on_delivery
@@ -130,7 +129,7 @@ class VectorSimulator:
         """Simulate the delivery of *messages* under the constraints."""
         if self._delegate:
             return DesSimulator(
-                self._trace, self._adapter, constraints=self._constraints,
+                self._trace, self._protocol, constraints=self._constraints,
                 copy_semantics=self._copy_semantics,
                 stop_on_delivery=self._stop_on_delivery, seed=self._seed,
                 tracer=self._tracer, telemetry=self._telemetry,
@@ -146,12 +145,11 @@ class VectorSimulator:
         if len({m.id for m in messages}) != len(messages):
             raise ValueError("message ids must be unique")
 
-        adapter = self._adapter
-        adapter.reset_counters()
-        adapter.prepare(self._trace)
-        protocol = adapter.protocol
-        self._fastpath = bool(getattr(protocol, "vector_fastpath", False))
-        self._approvals_fn = (getattr(protocol, "vector_approvals", None)
+        protocol = self._protocol
+        counter = self._counter = AlgorithmAdapter(protocol)
+        protocol.prepare(self._trace)
+        self._fastpath = protocol.vector_fastpath
+        self._approvals_fn = (protocol.vector_approvals
                               if self._fastpath else None)
 
         interner = NodeInterner(self._trace.nodes)
@@ -214,7 +212,7 @@ class VectorSimulator:
 
         telemetry = self._telemetry
         if telemetry is not None:
-            telemetry.begin(engine="vector", algorithm=adapter.name)
+            telemetry.begin(engine="vector", algorithm=protocol.name)
         if (self._fastpath and self._run_tracer is None
                 and telemetry is None):
             self._hot_loop(timeline, message_list)
@@ -266,10 +264,10 @@ class VectorSimulator:
         else:
             stats.peak_buffer_occupancy = max(
                 (buffer.peak_used for buffer in self._buffers), default=0.0)
-        stats.forwarding_decisions = adapter.decisions
-        stats.forwarding_approvals = adapter.approvals
+        stats.forwarding_decisions = counter.decisions
+        stats.forwarding_approvals = counter.approvals
         return ConstrainedSimulationResult(
-            algorithm=adapter.name, trace_name=self._trace.name,
+            algorithm=protocol.name, trace_name=self._trace.name,
             outcomes=outcomes, copies_sent=stats.copies_sent,
             constraints=self._constraints, stats=stats)
 
@@ -421,8 +419,8 @@ class VectorSimulator:
         if not self._fastpath:
             node_of = self._node_of
             self._history.record(node_of[a], node_of[b], time)
-            self._adapter.on_contact_start(node_of[a], node_of[b], time,
-                                           self._history)
+            self._protocol.on_contact_start(node_of[a], node_of[b], time,
+                                            self._history)
         counts = self._active_counts
         counts[pair] = counts.get(pair, 0) + 1
         self._active_peers[a].add(b)
@@ -454,15 +452,15 @@ class VectorSimulator:
                                   a=node_of[a], b=node_of[b])
         if not self._fastpath:
             node_of = self._node_of
-            self._adapter.on_contact_end(node_of[a], node_of[b], time,
-                                         self._history)
+            self._protocol.on_contact_end(node_of[a], node_of[b], time,
+                                          self._history)
 
     def _on_create(self, time, message: Message) -> None:
         tracer = self._run_tracer
         if tracer is not None:
             tracer.emit("create", time, msg=message.id, src=message.source,
                         dst=message.destination)
-        self._adapter.on_message_created(message, time)
+        self._protocol.on_message_created(message, time)
         source = self._index_of(message.source)
         if self._fastbuf:
             used = self._buf_used[source] + self._size_of[message.id]
@@ -530,8 +528,8 @@ class VectorSimulator:
         message, message stopped/expired), so skipping them changes
         neither the delivery stream nor the decision counters.  The
         candidate mask is a snapshot taken once per direction; batch
-        soundness of that snapshot is argued in
-        :mod:`repro.routing.vector`.
+        soundness of that snapshot is argued in the
+        ``RoutingProtocol.vector_approvals`` docstring.
         """
         bit_of = self._bit_of
         carried = [mid for mid in list(self._carried[carrier])
@@ -553,10 +551,10 @@ class VectorSimulator:
                          time, approved: bool) -> bool:
         """`_attempt` with the forwarding verdict supplied by the batch.
 
-        The decision counters are charged exactly as the adapter would
-        charge them (one decision per non-destination offer, one approval
-        per True verdict), keeping ``ResourceStats`` identical to a DES
-        run.
+        The decision counters are charged exactly as a scalar
+        ``should_forward`` would charge them (one decision per
+        non-destination offer, one approval per True verdict), keeping
+        ``ResourceStats`` identical to a DES run.
         """
         message_id = message.id
         bit = self._bit_of[message_id]
@@ -569,12 +567,12 @@ class VectorSimulator:
         receive_time, hops = self._holdings[message_id][carrier]
         if time < receive_time:
             return False
-        adapter = self._adapter
+        counter = self._counter
         if peer != self._dest_of[message_id]:
-            adapter.decisions += 1
+            counter.decisions += 1
             if not approved:
                 return False
-            adapter.approvals += 1
+            counter.approvals += 1
         return self._transfer(message, carrier, peer, time, hops + 1,
                               cascade=True)
 
@@ -598,7 +596,7 @@ class VectorSimulator:
             return False
         if peer != self._dest_of[message_id]:
             node_of = self._node_of
-            if not self._adapter.should_forward(
+            if not self._counter.should_forward(
                     node_of[carrier], node_of[peer], message, time,
                     self._history):
                 return False
@@ -616,8 +614,8 @@ class VectorSimulator:
             # from the destination nor a hand-off removal
             return True
         node_of = self._node_of
-        self._adapter.on_forwarded(message, node_of[carrier], node_of[peer],
-                                   time)
+        self._protocol.on_forwarded(message, node_of[carrier], node_of[peer],
+                                    time)
         if self._run_tracer is not None:
             self._run_tracer.emit("forward", time, msg=message.id,
                                   src=node_of[carrier], dst=node_of[peer],
@@ -688,7 +686,7 @@ class VectorSimulator:
             self._delivered[message_id] = (time, hops)
             if self._stop_on_delivery:
                 self._stop_bits |= bit
-            self._adapter.on_delivered(message, time)
+            self._protocol.on_delivered(message, time)
             if tracer is not None:
                 tracer.emit("deliver", time, msg=message_id,
                             node=self._node_of[peer], hops=hops,
@@ -740,13 +738,13 @@ class VectorSimulator:
         return sequence
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<VectorSimulator {self._adapter.name!r} "
+        return (f"<VectorSimulator {self._protocol.name!r} "
                 f"{'delegated' if self._delegate else 'native'}>")
 
 
 def simulate_vector(
     trace: ContactTrace,
-    algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
+    algorithm: RoutingProtocol,
     messages: Sequence[Message],
     constraints: ResourceConstraints = UNCONSTRAINED,
     copy_semantics: str = "copy",

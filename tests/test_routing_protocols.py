@@ -1,8 +1,11 @@
-"""Unit tests for the stateful protocol zoo, registry and compat wrapper."""
+"""Unit tests for the protocol zoo, the registry and the paper's six
+under the protocol API."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.contacts import Contact, ContactTrace
 from repro.forwarding import ForwardingSimulator, Message, OnlineContactHistory
@@ -10,7 +13,6 @@ from repro.forwarding.algorithms import algorithm_by_name, algorithm_names
 from repro.routing import (
     NEW_PROTOCOL_NAMES,
     PAPER_PROTOCOL_NAMES,
-    AlgorithmProtocol,
     BinarySprayAndWaitProtocol,
     DirectDeliveryProtocol,
     FirstContactProtocol,
@@ -18,12 +20,12 @@ from repro.routing import (
     ProphetProtocol,
     RoutingProtocol,
     SourceSprayAndWaitProtocol,
-    ensure_protocol,
     protocol_by_name,
     protocol_catalogue,
     protocol_names,
     register_protocol,
 )
+from repro.sim import DesSimulator, VectorSimulator
 
 
 # ----------------------------------------------------------------------
@@ -85,34 +87,162 @@ class TestRegistry:
         assert by_name["Binary Spray-and-Wait"]["replication"] == "L copies"
 
 
-class TestCompatWrapper:
-    def test_wraps_algorithm(self):
-        wrapped = ensure_protocol(algorithm_by_name("FRESH"))
-        assert isinstance(wrapped, AlgorithmProtocol)
-        assert wrapped.name == "FRESH"
-        assert not wrapped.stateful
+class TestCatalogue:
+    def test_catalogue_literal(self):
+        """Every cell of ``python -m repro routing list``."""
+        columns = ("protocol", "origin", "stateful", "replication",
+                   "knowledge", "oracle", "vector")
+        expected = [
+            ("Epidemic", "paper", "no", "flooding", "none", "no",
+             "fast-path"),
+            ("FRESH", "paper", "no", "utility", "history", "no", "hooks"),
+            ("Greedy", "paper", "no", "utility", "history", "no", "hooks"),
+            ("Greedy Total", "paper", "no", "utility", "oracle", "yes",
+             "hooks"),
+            ("Greedy Online", "paper", "no", "utility", "history", "no",
+             "hooks"),
+            ("Dynamic Programming", "paper", "no", "utility", "oracle", "yes",
+             "hooks"),
+            ("Direct Delivery", "zoo", "no", "single-copy", "none", "no",
+             "fast-path"),
+            ("First Contact", "zoo", "yes", "single-copy", "none", "no",
+             "fast-path"),
+            ("Binary Spray-and-Wait", "zoo", "yes", "L copies", "none", "no",
+             "fast-path"),
+            ("Source Spray-and-Wait", "zoo", "yes", "L copies", "none", "no",
+             "fast-path"),
+            ("PRoPHET", "zoo", "yes", "utility", "learned", "no", "hooks"),
+            ("Hypergossip", "zoo", "no", "probabilistic", "none", "no",
+             "fast-path"),
+        ]
+        assert protocol_catalogue() == [dict(zip(columns, row))
+                                        for row in expected]
 
-    def test_protocol_passes_through(self):
-        protocol = ProphetProtocol()
-        assert ensure_protocol(protocol) is protocol
 
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            ensure_protocol(object())
+# ----------------------------------------------------------------------
+# an 8-node mesh on which the six paper algorithms all behave differently
+# ----------------------------------------------------------------------
+_MESH_CONTACTS = [
+    (10.0, 20.0, 0, 3), (20.0, 20.0, 6, 1), (25.0, 25.0, 0, 3),
+    (25.0, 35.0, 2, 6), (35.0, 37.0, 0, 1), (40.0, 40.0, 7, 1),
+    (60.0, 60.0, 2, 4), (60.0, 62.0, 3, 1), (65.0, 65.0, 0, 1),
+    (75.0, 75.0, 1, 4), (75.0, 77.0, 7, 6), (80.0, 80.0, 2, 0),
+    (80.0, 80.0, 2, 1), (80.0, 82.0, 5, 4), (85.0, 85.0, 3, 7),
+    (85.0, 95.0, 2, 7), (95.0, 97.0, 4, 2), (100.0, 100.0, 2, 7),
+    (100.0, 102.0, 1, 2), (105.0, 105.0, 0, 4), (110.0, 120.0, 4, 5),
+    (115.0, 117.0, 1, 4), (115.0, 117.0, 4, 0), (120.0, 130.0, 6, 2),
+    (125.0, 125.0, 5, 6), (145.0, 145.0, 0, 6), (145.0, 147.0, 3, 6),
+    (150.0, 152.0, 5, 1), (190.0, 200.0, 5, 2), (195.0, 197.0, 5, 4),
+]
+_MESH_MESSAGES = [(0, 0, 7, 0.0), (1, 3, 5, 20.0), (2, 6, 1, 40.0),
+                  (3, 2, 4, 60.0), (4, 5, 0, 90.0), (5, 1, 6, 120.0)]
 
+#: copies sent, (delivery time, hops) per message and the DES engine's
+#: (decisions, approvals), as recorded from the paper algorithms' earlier
+#: destination-only implementation.
+_MESH_STREAMS = {
+    "Epidemic": (25, ((40.0, 2), (80.0, 4), (100.0, 3), (95.0, 1),
+                      (115.0, 2), (None, None)), (20, 20)),
+    "FRESH": (13, ((100.0, 3), (None, None), (100.0, 3), (95.0, 1),
+                   (115.0, 2), (None, None)), (24, 9)),
+    "Greedy": (9, ((100.0, 3), (None, None), (None, None), (95.0, 1),
+                   (115.0, 2), (None, None)), (24, 6)),
+    "Greedy Total": (12, ((40.0, 2), (110.0, 3), (None, None), (95.0, 1),
+                          (115.0, 2), (None, None)), (24, 8)),
+    "Greedy Online": (12, ((None, None), (150.0, 2), (None, None),
+                           (95.0, 1), (115.0, 2), (None, None)), (34, 9)),
+    "Dynamic Programming": (17, ((40.0, 2), (80.0, 4), (150.0, 2),
+                                 (95.0, 1), (115.0, 2), (None, None)),
+                            (17, 12)),
+}
+
+
+class TestPaperAlgorithms:
     @pytest.mark.parametrize("name", algorithm_names())
-    def test_wrapped_algorithm_identical_stream(self, name):
-        """The acceptance criterion: wrapping changes nothing at all."""
-        trace = _line_trace()
-        messages = [Message(id=0, source=0, destination=3, creation_time=0.0),
-                    Message(id=1, source=1, destination=0, creation_time=15.0)]
-        raw = ForwardingSimulator(trace, algorithm_by_name(name)).run(messages)
-        wrapped = ForwardingSimulator(
-            trace, ensure_protocol(algorithm_by_name(name))).run(messages)
-        assert raw.copies_sent == wrapped.copies_sent
-        for a, b in zip(raw.outcomes, wrapped.outcomes):
-            assert (a.delivered, a.delivery_time, a.hop_count) == \
-                (b.delivered, b.delivery_time, b.hop_count)
+    def test_pinned_stream(self, name):
+        """Reading ``message.destination`` changes no decision."""
+        trace = ContactTrace([Contact(*c) for c in _MESH_CONTACTS],
+                             nodes=range(8), duration=240.0, name="mesh")
+        messages = [Message(id=i, source=s, destination=d, creation_time=t)
+                    for i, s, d, t in _MESH_MESSAGES]
+        copies, outcomes, counters = _MESH_STREAMS[name]
+        runs = [ForwardingSimulator(trace, algorithm_by_name(name)),
+                DesSimulator(trace, algorithm_by_name(name)),
+                VectorSimulator(trace, algorithm_by_name(name))]
+        for simulator in runs:
+            result = simulator.run(messages)
+            assert result.copies_sent == copies, simulator
+            assert tuple((o.delivery_time, o.hop_count)
+                         for o in result.outcomes) == outcomes, simulator
+            stats = getattr(result, "stats", None)
+            if stats is not None:
+                assert (stats.forwarding_decisions,
+                        stats.forwarding_approvals) == counters, simulator
+
+
+# ----------------------------------------------------------------------
+# vector_approvals == per-message should_forward, in any reachable state
+# ----------------------------------------------------------------------
+_BATCH_PROTOCOLS = {
+    name: (lambda name=name: protocol_by_name(name))
+    for name in protocol_names()
+    if protocol_by_name(name).vector_approvals is not None
+}
+_BATCH_PROTOCOLS.update({
+    "Binary Spray-and-Wait L=2": lambda: BinarySprayAndWaitProtocol(copies=2),
+    "Source Spray-and-Wait L=3": lambda: SourceSprayAndWaitProtocol(copies=3),
+    "Hypergossip p=0.3": lambda: HypergossipProtocol(p=0.3, seed=5),
+})
+
+_BATCH_NODES = st.integers(min_value=0, max_value=3)
+_BATCH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("create"), st.integers(0, 1)),
+        st.tuples(st.just("forward"), st.integers(0, 1), _BATCH_NODES,
+                  _BATCH_NODES),
+    ),
+    max_size=40,
+)
+
+
+class TestVectorApprovalsContract:
+    @pytest.mark.parametrize("label", sorted(_BATCH_PROTOCOLS))
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_BATCH_OPS)
+    def test_batch_equals_scalar(self, label, ops):
+        """After any sequence of creations and forwards, the batch verdicts
+        for every (carrier, peer) pair equal the per-message verdicts."""
+        protocol = _BATCH_PROTOCOLS[label]()
+        assert protocol.vector_fastpath
+        protocol.prepare(_line_trace())
+        history = OnlineContactHistory()
+        messages = [Message(id=i, source=i, destination=3 - i,
+                            creation_time=0.0) for i in range(2)]
+        pairs = [(c, p) for c in range(4) for p in range(4) if c != p]
+        # forwards start at nodes that hold the message, as in a run, so
+        # budgets get spent down and tokens move along
+        holders = [[m.source] for m in messages]
+
+        def check(now):
+            for carrier, peer in pairs:
+                expected = [protocol.should_forward(carrier, peer, m, now,
+                                                    history)
+                            for m in messages]
+                assert protocol.vector_approvals(carrier, peer, messages,
+                                                 now) == expected
+
+        check(0.0)
+        for step, op in enumerate(ops, start=1):
+            now = float(step)
+            if op[0] == "create":
+                protocol.on_message_created(messages[op[1]], now)
+            else:
+                _, index, choice, peer = op
+                carrier = holders[index][choice % len(holders[index])]
+                protocol.on_forwarded(messages[index], carrier, peer, now)
+                if peer not in holders[index]:
+                    holders[index].append(peer)
+            check(now)
 
 
 class TestDirectDelivery:
