@@ -1,7 +1,7 @@
 """repro — reproduction of "Diversity of Forwarding Paths in Pocket Switched
 Networks" (Erramilli, Chaintreau, Crovella, Diot, 2007).
 
-The library is organised in layers (see DESIGN.md):
+The library is organised in layers (see README.md):
 
 * :mod:`repro.contacts` — contact-trace data model, I/O and statistics;
 * :mod:`repro.synth` — synthetic trace generators standing in for the
@@ -34,6 +34,10 @@ The library is organised in layers (see DESIGN.md):
   ``python -m repro svc``;
 * :mod:`repro.analysis` — experiment runners and per-figure data builders.
 
+The layers load lazily (PEP 562): ``import repro`` imports none of them, and
+``repro.<layer>`` imports the layer on first access, so a command that only
+needs the simulator does not pay for the rest.
+
 Quickstart
 ----------
 >>> from repro.datasets import infocom06_9_12
@@ -44,7 +48,8 @@ Quickstart
 True
 """
 
-from . import analysis, contacts, core, datasets, exp, forwarding, model, obs, routing, scenario, sim, svc, synth
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 __version__ = "1.4.0"
 
@@ -64,3 +69,19 @@ __all__ = [
     "synth",
     "__version__",
 ]
+
+_LAYERS = frozenset(__all__) - {"__version__"}
+
+if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
+    from . import (analysis, contacts, core, datasets, exp, forwarding, model, obs,
+                   routing, scenario, sim, svc, synth)
+
+
+def __getattr__(name: str):
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return import_module(f"{__name__}.{name}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _LAYERS)

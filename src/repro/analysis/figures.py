@@ -81,11 +81,18 @@ def figure2_space_time_graph_example() -> Dict[str, object]:
         duration=20.0,
         name="figure2-example",
     )
-    graph = SpaceTimeGraph(trace, delta=10.0).to_networkx()
-    contact_edges = [(u, v) for u, v, w in graph.edges(data="weight") if w == 0]
-    waiting_edges = [(u, v) for u, v, w in graph.edges(data="weight") if w == 1]
+    graph = SpaceTimeGraph(trace, delta=10.0)
+    times = [graph.time_of_step(step) for step in range(graph.num_steps)]
+    nodes = sorted(graph.nodes)
+    contact_edges = [((a, t), (b, t))
+                     for step, t in enumerate(times)
+                     for a, peers in graph.adjacency(step).items()
+                     for b in peers]
+    waiting_edges = [((node, t), (node, t_next))
+                     for t, t_next in zip(times, times[1:])
+                     for node in nodes]
     return {
-        "vertices": sorted(graph.nodes()),
+        "vertices": sorted((node, t) for t in times for node in nodes),
         "contact_edges": sorted(contact_edges),
         "waiting_edges": sorted(waiting_edges),
     }

@@ -11,9 +11,9 @@ edges:
 * unit-weight *waiting* edges ``(x_i, T) → (x_i, T + Δ)`` for every node.
 
 The class below stores the graph implicitly as one contact-adjacency map per
-timestep — that is all the path-enumeration dynamic program needs — and can
-also materialise the explicit :class:`networkx.DiGraph` for interoperability
-and for the Figure 2 illustration.
+timestep — that is all the path-enumeration dynamic program needs.  The
+explicit vertex and edge lists of the Figure 2 illustration are built from
+these maps by :func:`repro.analysis.figures.figure2_space_time_graph_example`.
 
 Step indexing convention: step ``s`` (0-based) covers the half-open interval
 ``[sΔ, (s+1)Δ)`` and corresponds to the paper's vertex time ``T = (s+1)Δ``.
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from ..contacts import Contact, ContactTrace, NodeId
 from .fastpath import NodeInterner, StepTables
@@ -221,36 +219,6 @@ class SpaceTimeGraph:
             sum(len(peers) for peers in adj.values()) // 2
             for adj in self._adjacency
         )
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def to_networkx(self, start_step: int = 0, end_step: Optional[int] = None) -> nx.DiGraph:
-        """Materialise the explicit space-time digraph.
-
-        Vertices are ``(node, T)`` pairs where ``T`` is the paper's vertex
-        time for the step.  Contact edges (both directions) carry
-        ``weight=0``; waiting edges carry ``weight=1``.  The graph can grow
-        large (``num_nodes * num_steps`` vertices); restrict the step range
-        for visualisation.
-        """
-        end = self._num_steps if end_step is None else min(end_step, self._num_steps)
-        if not 0 <= start_step < end:
-            raise ValueError(f"invalid step range [{start_step}, {end})")
-        graph = nx.DiGraph()
-        nodes = sorted(self.nodes)
-        for step in range(start_step, end):
-            t = self.time_of_step(step)
-            for node in nodes:
-                graph.add_node((node, t))
-            for a, peers in self._adjacency[step].items():
-                for b in peers:
-                    graph.add_edge((a, t), (b, t), weight=0)
-            if step + 1 < end:
-                t_next = self.time_of_step(step + 1)
-                for node in nodes:
-                    graph.add_edge((node, t), (node, t_next), weight=1)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

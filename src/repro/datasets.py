@@ -5,8 +5,8 @@ The paper analyses four 3-hour windows of iMote contact traces — Infocom
 3PM–6PM on 4 December 2006) — plus a replication on Infocom 2005.  Those
 CRAWDAD traces cannot be redistributed, so this module defines seeded
 synthetic configurations with matching population sizes, window lengths,
-stationary-node counts, and contact-rate heterogeneity (see DESIGN.md §2 for
-the substitution rationale).
+stationary-node counts, and contact-rate heterogeneity (see the
+introduction of README.md for the substitution rationale).
 
 Each :class:`DatasetSpec` is deterministic: the same key and scale always
 produce the same trace, so every figure in EXPERIMENTS.md is reproducible.

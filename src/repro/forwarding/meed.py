@@ -22,15 +22,19 @@ Two pieces are implemented here:
   Dijkstra over the contact graph weighted by the pairwise expected delays,
   with per-destination distance lookups used by the forwarding rule
   ("forward to the peer whose expected remaining delay is smaller").
+
+The Dijkstra is a plain ``heapq`` search that relaxes with ``dist[v] + w``,
+so its distances are the exact float values of a textbook Dijkstra on the
+same graph.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from itertools import count
+from typing import Dict, List, Optional, Tuple
 
 from ..contacts import ContactTrace, NodeId
 
@@ -79,6 +83,50 @@ def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, 
     return merged
 
 
+Adjacency = Dict[NodeId, Dict[NodeId, float]]
+
+
+def _meed_graph(trace: ContactTrace) -> Adjacency:
+    """Undirected MEED graph: every trace node, one edge per meeting pair."""
+    adjacency: Adjacency = {node: {} for node in trace.nodes}
+    for (a, b), delay in pairwise_expected_delays(trace).items():
+        adjacency.setdefault(a, {})[b] = delay
+        adjacency.setdefault(b, {})[a] = delay
+    return adjacency
+
+
+def _dijkstra(adjacency: Adjacency, source: NodeId,
+              target: Optional[NodeId] = None
+              ) -> Tuple[Dict[NodeId, float], Dict[NodeId, NodeId]]:
+    """Single-source Dijkstra; returns ``(distances, predecessors)``.
+
+    Distances are settled in non-decreasing order and the search stops once
+    *target* (if given) is settled.  ``predecessors`` maps every reached
+    node except *source* to the node it was first reached from at its final
+    distance.
+    """
+    dist: Dict[NodeId, float] = {}
+    seen: Dict[NodeId, float] = {source: 0.0}
+    pred: Dict[NodeId, NodeId] = {}
+    tie = count()
+    fringe = [(0.0, next(tie), source)]
+    while fringe:
+        dist_v, _, v = heapq.heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = dist_v
+        if v == target:
+            break
+        for u, weight in adjacency[v].items():
+            vu_dist = dist_v + weight
+            # Weights are non-negative, so a settled node never improves.
+            if vu_dist < seen.get(u, math.inf):
+                seen[u] = vu_dist
+                pred[u] = v
+                heapq.heappush(fringe, (vu_dist, next(tie), u))
+    return dist, pred
+
+
 @dataclass
 class MeedTable:
     """All-pairs minimum expected delays over the MEED graph.
@@ -91,18 +139,9 @@ class MeedTable:
     @classmethod
     def from_trace(cls, trace: ContactTrace) -> "MeedTable":
         """Compute the table from the full trace (future knowledge)."""
-        delays = pairwise_expected_delays(trace)
-        graph = nx.Graph()
-        graph.add_nodes_from(trace.nodes)
-        for (a, b), delay in delays.items():
-            graph.add_edge(a, b, weight=delay)
-        distances: Dict[NodeId, Dict[NodeId, float]] = {}
-        for source, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="weight"):
-            distances[source] = dict(lengths)
-        # Ensure isolated nodes appear with only themselves reachable.
-        for node in trace.nodes:
-            distances.setdefault(node, {node: 0.0})
-        return cls(distances=distances)
+        adjacency = _meed_graph(trace)
+        return cls(distances={source: _dijkstra(adjacency, source)[0]
+                              for source in adjacency})
 
     def distance(self, node: NodeId, destination: NodeId) -> float:
         """Minimum expected delay from *node* to *destination* (inf if disconnected)."""
@@ -118,12 +157,11 @@ class MeedTable:
         Provided for inspection and examples; the forwarding rule itself only
         needs the distances.
         """
-        delays = pairwise_expected_delays(trace)
-        graph = nx.Graph()
-        graph.add_nodes_from(trace.nodes)
-        for (a, b), delay in delays.items():
-            graph.add_edge(a, b, weight=delay)
-        try:
-            return nx.dijkstra_path(graph, source, destination, weight="weight")
-        except nx.NetworkXNoPath:
+        dist, pred = _dijkstra(_meed_graph(trace), source, destination)
+        if destination not in dist:
             return None
+        path = [destination]
+        while path[-1] != source:
+            path.append(pred[path[-1]])
+        path.reverse()
+        return path

@@ -10,7 +10,8 @@ the deterministic fluid limit (the paper's Proposition 3):
 
     du_k/dt = λ ( Σ_{i=0..k} u_i u_{k-i}  −  u_k )
 
-This module integrates that (truncated) infinite ODE system with scipy and
+This module integrates that (truncated) infinite ODE system with scipy
+(imported on the first solve, so ``import repro`` does not pay for it) and
 exposes the moments of the resulting distribution, which the closed-form
 results of :mod:`repro.model.generating_function` predict exactly
 (``E[S(t)] = E[S(0)] e^{λt}``, etc.).
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = ["PathDensitySolution", "initial_condition", "solve_path_density_ode"]
 
@@ -125,6 +125,8 @@ def solve_path_density_ode(
         (states above K are collapsed); choose K large enough that
         :meth:`PathDensitySolution.mass` stays close to 1 over the horizon.
     """
+    from scipy.integrate import solve_ivp
+
     if contact_rate < 0:
         raise ValueError("contact_rate must be non-negative")
     if horizon <= 0:

@@ -2,7 +2,7 @@
 
 The paper's datasets are CRAWDAD iMote traces that cannot be redistributed;
 these generators produce traces with the same statistical structure (see
-DESIGN.md §2 for the substitution argument).
+the introduction of README.md for the substitution argument).
 
 All generators follow one seeding contract (:mod:`repro.synth.seeding`): an
 integer seed reproduces the same output bit-for-bit across runs and

@@ -1,7 +1,7 @@
 """Heterogeneous conference-style contact generator.
 
 This is the stand-in for the paper's Infocom 2006 / CoNExT 2006 iMote traces
-(see DESIGN.md §2).  The statistical features it is built to reproduce are
+(see the introduction of README.md).  The statistical features it is built to reproduce are
 exactly the ones the paper's analysis relies on:
 
 * **Heterogeneous per-node contact rates.**  Figure 7 of the paper shows the

@@ -21,6 +21,8 @@ import pytest
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 _MODULES = [
+    "repro",
+    "repro.model",
     "repro.forwarding",
     "repro.forwarding.algorithms",
     "repro.routing",

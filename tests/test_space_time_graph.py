@@ -2,11 +2,42 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import networkx as nx
 import pytest
 
+from repro.analysis.figures import figure2_space_time_graph_example
 from repro.contacts import Contact, ContactTrace
 from repro.core import DEFAULT_DELTA, SpaceTimeGraph
+
+
+def to_networkx(graph: SpaceTimeGraph, start_step: int = 0,
+                end_step: Optional[int] = None) -> nx.DiGraph:
+    """Materialise the explicit space-time digraph (a test-only oracle).
+
+    Vertices are ``(node, T)`` pairs where ``T`` is the paper's vertex time
+    for the step.  Contact edges (both directions) carry ``weight=0``;
+    waiting edges carry ``weight=1``.
+    """
+    end = graph.num_steps if end_step is None else min(end_step, graph.num_steps)
+    if not 0 <= start_step < end:
+        raise ValueError(f"invalid step range [{start_step}, {end})")
+    exported = nx.DiGraph()
+    nodes = sorted(graph.nodes)
+    for step in range(start_step, end):
+        t = graph.time_of_step(step)
+        for node in nodes:
+            exported.add_node((node, t))
+        for a, peers in graph.adjacency(step).items():
+            for b in peers:
+                exported.add_edge((a, t), (b, t), weight=0)
+        if step + 1 < end:
+            t_next = graph.time_of_step(step + 1)
+            for node in nodes:
+                exported.add_edge((node, t), (node, t_next), weight=1)
+    return exported
+
 
 
 @pytest.fixture
@@ -141,21 +172,21 @@ class TestReachability:
 
 class TestNetworkxExport:
     def test_vertex_count(self, graph, tiny_trace):
-        exported = graph.to_networkx(0, 3)
+        exported = to_networkx(graph, 0, 3)
         assert exported.number_of_nodes() == tiny_trace.num_nodes * 3
 
     def test_contact_edges_have_zero_weight(self, graph):
-        exported = graph.to_networkx(0, 2)
+        exported = to_networkx(graph, 0, 2)
         weight = exported[(0, 10.0)][(1, 10.0)]["weight"]
         assert weight == 0
 
     def test_waiting_edges_have_unit_weight(self, graph):
-        exported = graph.to_networkx(0, 2)
+        exported = to_networkx(graph, 0, 2)
         weight = exported[(0, 10.0)][(0, 20.0)]["weight"]
         assert weight == 1
 
     def test_contact_edges_bidirectional(self, graph):
-        exported = graph.to_networkx(0, 1)
+        exported = to_networkx(graph, 0, 1)
         assert exported.has_edge((0, 10.0), (1, 10.0))
         assert exported.has_edge((1, 10.0), (0, 10.0))
 
@@ -168,7 +199,7 @@ class TestNetworkxExport:
              Contact(10.0, 20.0, 1, 3)],
             nodes=[1, 2, 3], duration=20.0,
         )
-        graph = SpaceTimeGraph(trace, delta=10.0).to_networkx()
+        graph = to_networkx(SpaceTimeGraph(trace, delta=10.0))
         zero_weight = [(u, v) for u, v, w in graph.edges(data="weight") if w == 0]
         # step 0: 1<->2 (2 directed edges); step 1: three pairs (6 directed edges)
         assert len(zero_weight) == 8
@@ -177,7 +208,7 @@ class TestNetworkxExport:
 
     def test_invalid_step_range(self, graph):
         with pytest.raises(ValueError):
-            graph.to_networkx(5, 5)
+            to_networkx(graph, 5, 5)
 
     def test_shortest_path_in_exported_graph_matches_hops(self):
         """Dijkstra over the exported graph counts waiting steps as weight."""
@@ -186,9 +217,44 @@ class TestNetworkxExport:
             nodes=[0, 1, 2], duration=30.0,
         )
         stg = SpaceTimeGraph(trace, delta=10.0)
-        exported = stg.to_networkx()
+        exported = to_networkx(stg)
         length = nx.dijkstra_path_length(exported, (0, 10.0), (2, 30.0), weight="weight")
         # Two waiting steps (10->20->30) for node 1 before handing to 2... the
         # shortest route is contact to 1 at T=10 (0), wait to T=30 (2), contact
         # to 2 at T=30 (0) => total weight 2.
         assert length == 2
+
+
+class TestFigure2Example:
+    def test_matches_networkx_export(self):
+        """Same four-contact trace as the figure builder."""
+        trace = ContactTrace(
+            [Contact(0.0, 10.0, 1, 2),
+             Contact(10.0, 20.0, 1, 2),
+             Contact(10.0, 20.0, 2, 3),
+             Contact(10.0, 20.0, 1, 3)],
+            nodes=[1, 2, 3], duration=20.0,
+        )
+        exported = to_networkx(SpaceTimeGraph(trace, delta=10.0))
+        weighted = list(exported.edges(data="weight"))
+        assert figure2_space_time_graph_example() == {
+            "vertices": sorted(exported.nodes()),
+            "contact_edges": sorted((u, v) for u, v, w in weighted if w == 0),
+            "waiting_edges": sorted((u, v) for u, v, w in weighted if w == 1),
+        }
+
+    def test_pinned_literal(self):
+        assert figure2_space_time_graph_example() == {
+            "vertices": [(1, 10.0), (1, 20.0), (2, 10.0), (2, 20.0),
+                         (3, 10.0), (3, 20.0)],
+            "contact_edges": [
+                ((1, 10.0), (2, 10.0)), ((1, 20.0), (2, 20.0)),
+                ((1, 20.0), (3, 20.0)), ((2, 10.0), (1, 10.0)),
+                ((2, 20.0), (1, 20.0)), ((2, 20.0), (3, 20.0)),
+                ((3, 20.0), (1, 20.0)), ((3, 20.0), (2, 20.0)),
+            ],
+            "waiting_edges": [
+                ((1, 10.0), (1, 20.0)), ((2, 10.0), (2, 20.0)),
+                ((3, 10.0), (3, 20.0)),
+            ],
+        }
