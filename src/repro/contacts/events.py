@@ -13,15 +13,23 @@ we assume that B and A can exchange data in both directions"), so a
 
 Everything downstream of this module — space-time graphs, path enumeration,
 the forwarding simulator, trace statistics — consumes :class:`ContactTrace`.
+
+A trace stores its contacts as four parallel numpy columns ``(starts, ends,
+a, b)`` in canonical ``(start, end, a, b)`` order; generators that already
+work in arrays build one with :meth:`ContactTrace.from_columns` and never
+create a :class:`Contact`.  Iterating, indexing and the query methods read a
+list of :class:`Contact` objects that is built from the columns on first use
+and cached; a trace constructed from :class:`Contact` objects keeps the
+sorted list it was given as that view.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 __all__ = ["NodeId", "Contact", "ContactTrace"]
 
@@ -138,6 +146,9 @@ class ContactTrace:
         If omitted, the latest contact end time is used.
     name:
         Optional human-readable dataset name (e.g. ``"infocom06-9-12"``).
+
+    Array-native generators should use :meth:`from_columns` instead, which
+    builds the same trace without creating a :class:`Contact` per row.
     """
 
     def __init__(
@@ -147,25 +158,81 @@ class ContactTrace:
         duration: Optional[float] = None,
         name: str = "",
     ) -> None:
-        self._contacts: List[Contact] = sorted(contacts, key=lambda c: (c.start, c.end, c.a, c.b))
+        view: List[Contact] = sorted(contacts, key=lambda c: (c.start, c.end, c.a, c.b))
         if nodes is None:
             inferred: Set[NodeId] = set()
-            for c in self._contacts:
+            for c in view:
                 inferred.add(c.a)
                 inferred.add(c.b)
-            self._nodes = frozenset(inferred)
+            node_set = frozenset(inferred)
         else:
-            self._nodes = frozenset(nodes)
+            node_set = frozenset(nodes)
             missing = [
-                c for c in self._contacts
-                if c.a not in self._nodes or c.b not in self._nodes
+                c for c in view
+                if c.a not in node_set or c.b not in node_set
             ]
             if missing:
-                raise ValueError(
-                    f"{len(missing)} contacts reference nodes outside the declared node set "
-                    f"(first offender: {missing[0]})"
-                )
-        max_end = max((c.end for c in self._contacts), default=0.0)
+                raise _outside_error(len(missing), missing[0])
+        count = len(view)
+        columns = (
+            np.fromiter((c.start for c in view), dtype=np.float64, count=count),
+            np.fromiter((c.end for c in view), dtype=np.float64, count=count),
+            np.asarray([c.a for c in view]),
+            np.asarray([c.b for c in view]),
+        )
+        self._setup(columns, view, node_set, duration, name)
+
+    @classmethod
+    def from_columns(
+        cls,
+        starts,
+        ends,
+        a,
+        b,
+        *,
+        nodes: Iterable[NodeId],
+        duration: Optional[float],
+        name: str = "",
+    ) -> "ContactTrace":
+        """Build a trace straight from four parallel contact columns.
+
+        Row ``i`` is the contact ``Contact(starts[i], ends[i], a[i], b[i])``;
+        rows may come in any order and with either endpoint first.  The
+        result ``==`` the trace the constructor builds from those contacts,
+        and a bad row raises the same :class:`ValueError` the constructor
+        would (the first bad row in input order, as a list comprehension of
+        :class:`Contact` would hit it).  Validation, endpoint
+        canonicalisation and the ``(start, end, a, b)`` sort are vectorized.
+        """
+        starts = np.asarray(starts, dtype=np.float64)
+        ends = np.asarray(ends, dtype=np.float64)
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if not (starts.ndim == ends.ndim == a.ndim == b.ndim == 1
+                and len(starts) == len(ends) == len(a) == len(b)):
+            raise ValueError("contact columns must be 1-d and of equal length")
+        bad = (a == b) | (ends < starts) | (starts < 0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            # the scalar constructor raises the row's first failing check
+            Contact(starts[row].item(), ends[row].item(), a[row].item(), b[row].item())
+        swap = a > b
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        order = np.lexsort((b, a, ends, starts))
+        columns = (starts[order], ends[order], a[order], b[order])
+        node_set = frozenset(nodes)
+        outside = _outside(columns[2], node_set) | _outside(columns[3], node_set)
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise _outside_error(int(outside.sum()),
+                                 Contact(*(column[row].item() for column in columns)))
+        trace = cls.__new__(cls)
+        trace._setup(columns, None, node_set, duration, name)
+        return trace
+
+    def _setup(self, columns, view, nodes, duration, name) -> None:
+        ends = columns[1]
+        max_end = ends.max().item() if len(ends) else 0.0
         if duration is None:
             self._duration = float(max_end)
         else:
@@ -174,15 +241,34 @@ class ContactTrace:
                     f"declared duration {duration} is shorter than the last contact end {max_end}"
                 )
             self._duration = float(duration)
+        for column in columns:
+            column.flags.writeable = False
+        self._columns = columns
+        self._view: Optional[List[Contact]] = view
+        self._nodes = nodes
         self.name = name
-        self._starts: List[float] = [c.start for c in self._contacts]
-        self._arrays: Optional[tuple] = None
+
+    def __setstate__(self, state) -> None:
+        # unpickled arrays come back writeable
+        self.__dict__.update(state)
+        for column in self._columns:
+            column.flags.writeable = False
+
+    @property
+    def _contacts(self) -> List[Contact]:
+        """The :class:`Contact` view of the columns, built on first use."""
+        view = self._view
+        if view is None:
+            self._view = view = [
+                Contact(*row) for row in zip(*(column.tolist() for column in self._columns))
+            ]
+        return view
 
     # ------------------------------------------------------------------
     # basic container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._contacts)
+        return len(self._columns[0])
 
     def __iter__(self) -> Iterator[Contact]:
         return iter(self._contacts)
@@ -194,15 +280,16 @@ class ContactTrace:
         if not isinstance(other, ContactTrace):
             return NotImplemented
         return (
-            self._contacts == other._contacts
-            and self._nodes == other._nodes
+            self._nodes == other._nodes
             and self._duration == other._duration
+            and all(np.array_equal(mine, theirs)
+                    for mine, theirs in zip(self._columns, other._columns))
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""
         return (
-            f"<ContactTrace{label}: {len(self._contacts)} contacts, "
+            f"<ContactTrace{label}: {len(self)} contacts, "
             f"{len(self._nodes)} nodes, {self._duration:.0f}s>"
         )
 
@@ -215,28 +302,16 @@ class ContactTrace:
         return tuple(self._contacts)
 
     def as_arrays(self) -> tuple:
-        """Columnar ``(starts, ends, a, b)`` numpy arrays, built once.
+        """The trace's ``(starts, ends, a, b)`` numpy columns.
 
-        Four parallel arrays over the contacts in trace order, for
-        array-native consumers (the vector simulation kernel, bulk
-        statistics).  Endpoint dtype is whatever numpy infers from the
-        node labels (``int64`` for the library's integer ids).  The
-        arrays are cached on the trace and shared between callers; treat
-        them as read-only.
+        Four parallel arrays over the contacts in trace order: the trace's
+        own storage, not a copy, so they are read-only (writing to one
+        raises :class:`ValueError`).  ``a <= b`` holds row by row.
+        ``starts``/``ends`` are ``float64``; the endpoint dtype is whatever
+        numpy infers from the node labels (``int64`` for the library's
+        integer ids).
         """
-        arrays = self._arrays
-        if arrays is None:
-            import numpy as np  # local: keep the core data model light
-
-            count = len(self._contacts)
-            starts = np.fromiter((c.start for c in self._contacts),
-                                 dtype=np.float64, count=count)
-            ends = np.fromiter((c.end for c in self._contacts),
-                               dtype=np.float64, count=count)
-            a = np.asarray([c.a for c in self._contacts])
-            b = np.asarray([c.b for c in self._contacts])
-            self._arrays = arrays = (starts, ends, a, b)
-        return arrays
+        return self._columns
 
     @property
     def nodes(self) -> FrozenSet[NodeId]:
@@ -269,9 +344,10 @@ class ContactTrace:
         return [c for c in self._contacts if c.overlaps(t0, t1)]
 
     def contacts_starting_in(self, t0: float, t1: float) -> List[Contact]:
-        """Contacts whose *start* lies in ``[t0, t1)`` (efficient bisect)."""
-        lo = bisect.bisect_left(self._starts, t0)
-        hi = bisect.bisect_left(self._starts, t1)
+        """Contacts whose *start* lies in ``[t0, t1)`` (binary search)."""
+        starts = self._columns[0]
+        lo = int(np.searchsorted(starts, t0, "left"))
+        hi = int(np.searchsorted(starts, t1, "left"))
         return self._contacts[lo:hi]
 
     def active_at(self, t: float) -> List[Contact]:
@@ -398,15 +474,27 @@ class ContactTrace:
         durations = [c.duration for c in self._contacts]
         return {
             "num_nodes": float(self.num_nodes),
-            "num_contacts": float(len(self._contacts)),
+            "num_contacts": float(len(self)),
             "duration": self._duration,
             "mean_contacts_per_node": float(sum(counts)) / max(1, len(counts)),
             "max_contacts_per_node": float(max(counts, default=0)),
             "min_contacts_per_node": float(min(counts, default=0)),
             "mean_contact_duration": (sum(durations) / len(durations)) if durations else 0.0,
-            "contacts_per_second": (len(self._contacts) / self._duration) if self._duration else 0.0,
+            "contacts_per_second": (len(self) / self._duration) if self._duration else 0.0,
         }
 
 
-def _is_finite(x: float) -> bool:
-    return math.isfinite(x)
+def _outside_error(count: int, first: Contact) -> ValueError:
+    return ValueError(
+        f"{count} contacts reference nodes outside the declared node set "
+        f"(first offender: {first})"
+    )
+
+
+def _outside(labels: np.ndarray, nodes: FrozenSet[NodeId]) -> np.ndarray:
+    """Mask of the *labels* that are not in *nodes*."""
+    node_array = np.asarray(list(nodes))
+    if labels.dtype.kind in "iuf" and node_array.dtype.kind in "iuf":
+        return ~np.isin(labels, node_array)
+    return np.fromiter((label not in nodes for label in labels.tolist()),
+                       dtype=bool, count=len(labels))

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..contacts import Contact, ContactTrace
+from ..contacts import ContactTrace
 from .seeding import SeedLike, resolve_rng
 
 __all__ = ["RandomWaypointModel", "contacts_from_positions",
@@ -258,27 +258,14 @@ class GridRandomWaypointModel:
         at the first step it is not (or at *duration*).
         """
         positions = self.sample_positions(duration, step=step, seed=seed)
-        num_steps, n, _ = positions.shape
-        open_since: dict = {}
-        contacts: List[Contact] = []
-        previous = np.empty(0, dtype=np.int64)
-        for k in range(num_steps):
-            t = k * step
-            pair_ids = grid_pairs_in_range(positions[k], self.radio_range)
-            pair_ids = pair_ids[0] * n + pair_ids[1]
-            pair_ids.sort()
-            closed = np.setdiff1d(previous, pair_ids, assume_unique=True)
-            opened = np.setdiff1d(pair_ids, previous, assume_unique=True)
-            for pair in closed.tolist():
-                contacts.append(Contact(open_since.pop(pair), t,
-                                        pair // n, pair % n))
-            for pair in opened.tolist():
-                open_since[pair] = t
-            previous = pair_ids
-        for pair, started in open_since.items():
-            contacts.append(Contact(started, duration, pair // n, pair % n))
-        return ContactTrace(contacts, nodes=range(n), duration=duration,
-                            name=name or f"rwp-grid-N{n}")
+        n = self.num_nodes
+        step_pairs = []
+        for points in positions:
+            a, b = grid_pairs_in_range(points, self.radio_range)
+            step_pairs.append(a * n + b)
+        return ContactTrace.from_columns(
+            *_contact_runs(step_pairs, n, step, duration), nodes=range(n),
+            duration=duration, name=name or f"rwp-grid-N{n}")
 
 
 def grid_pairs_in_range(points: np.ndarray, radius: float):
@@ -306,6 +293,21 @@ def grid_pairs_in_range(points: np.ndarray, radius: float):
     keys = cx * stride + cy
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
+    # first(k): position in sorted_keys of the first key >= k.  Neighbour
+    # keys lie within one row of cells (stride keys) of the occupied ones,
+    # so a table over the occupied rows padded by a row on each side
+    # answers every lookup; the binary search covers sparse clouds whose
+    # bounding grid dwarfs the point count
+    cells = (int(cx.max()) + 3) * stride if n else 0
+    if cells <= 8 * n + 1024:
+        table = np.zeros(cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys + stride, minlength=cells), out=table[1:])
+
+        def first(k):
+            return table[k + stride]
+    else:
+        def first(k):
+            return np.searchsorted(sorted_keys, k)
     out_a: List[np.ndarray] = []
     out_b: List[np.ndarray] = []
     r2 = radius * radius
@@ -313,8 +315,8 @@ def grid_pairs_in_range(points: np.ndarray, radius: float):
     # adjacent cell pair exactly once
     for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1), (-1, 1)):
         neighbour = keys + dx * stride + dy
-        left = np.searchsorted(sorted_keys, neighbour, side="left")
-        right = np.searchsorted(sorted_keys, neighbour, side="right")
+        left = first(neighbour)
+        right = first(neighbour + 1)
         counts = right - left
         total = int(counts.sum())
         if not total:
@@ -372,24 +374,42 @@ def contacts_from_positions(
     num_steps, num_nodes, _ = positions.shape
     total = duration if duration is not None else (num_steps - 1) * step
 
-    open_since: dict = {}
-    contacts: List[Contact] = []
-    for k in range(num_steps):
-        t = k * step
-        pts = positions[k]
+    step_pairs = []
+    for pts in positions:
         # Pairwise distance matrix via broadcasting.
         deltas = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt(np.sum(deltas ** 2, axis=-1))
-        in_range = dist <= radio_range
-        for i in range(num_nodes):
-            for j in range(i + 1, num_nodes):
-                pair = (i, j)
-                if in_range[i, j]:
-                    open_since.setdefault(pair, t)
-                else:
-                    started = open_since.pop(pair, None)
-                    if started is not None:
-                        contacts.append(Contact(started, t, i, j))
-    for (i, j), started in open_since.items():
-        contacts.append(Contact(started, total, i, j))
-    return ContactTrace(contacts, nodes=range(num_nodes), duration=total, name=name)
+        i, j = np.nonzero(np.triu(dist <= radio_range, k=1))
+        step_pairs.append(i * num_nodes + j)
+    return ContactTrace.from_columns(
+        *_contact_runs(step_pairs, num_nodes, step, total),
+        nodes=range(num_nodes), duration=total, name=name)
+
+
+def _contact_runs(step_pairs: List[np.ndarray], num_nodes: int, step: float,
+                  duration: float):
+    """Contact columns ``(starts, ends, a, b)`` from sampled proximity.
+
+    ``step_pairs[k]`` holds the packed ids ``a * num_nodes + b`` of the
+    pairs in range at time ``k * step``, each pair at most once.  Every run
+    of consecutive in-range steps of a pair is one contact: it opens at the
+    run's first step and closes at the first step out of range, or at
+    *duration* when the run lasts to the last step.
+    """
+    num_steps = len(step_pairs)
+    # key = pair * stride + step; the unused step value num_steps keeps
+    # the last step of one pair from running on into the next pair's first
+    stride = num_steps + 1
+    keys = np.concatenate([pairs * stride + k for k, pairs in enumerate(step_pairs)]
+                          + [np.empty(0, dtype=np.int64)])
+    keys.sort()
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = keys[1:] != keys[:-1] + 1
+    closes = np.ones(len(keys), dtype=bool)
+    closes[:-1] = opens[1:]
+    pair, first_step = np.divmod(keys[opens], stride)
+    close_step = keys[closes] % stride + 1
+    starts = first_step * step
+    ends = np.where(close_step < num_steps, close_step * step, duration)
+    a, b = np.divmod(pair, num_nodes)
+    return starts, ends, a, b
