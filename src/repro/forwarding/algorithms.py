@@ -103,6 +103,13 @@ class RoutingProtocol(ABC):
     message that actually moved, which appears exactly once per batch.  A
     protocol whose verdicts couple across messages must leave this
     ``None``.
+
+    Batches are formed inside the zero-time relay too: the engine's
+    message-parallel flood judges every message a relay node can pass to
+    one peer as one batch, so the relays of different messages
+    interleave.  Each message still sees its own calls in its own order,
+    but ``should_forward``, ``on_forwarded`` and ``on_delivered`` for one
+    message must not read or write another message's state.
     """
 
     def prepare(self, trace: ContactTrace) -> None:

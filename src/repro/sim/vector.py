@@ -30,10 +30,42 @@ magnitude faster:
   contact-history recording and the per-contact lifecycle hooks (both
   no-ops for them).  Every other protocol takes the per-message
   ``should_forward`` path and still runs unchanged.
+* **message-parallel flood** — on the flood gate (below) the zero-time
+  relay walks each node once per contact instead of once per message: one
+  DFS over ``(node, live-message bitmask)`` stack entries screens
+  ``live & ~(ever_held[peer] | stopped)`` per peer (``live`` is carried at
+  ``node``: under the gate no copy leaves a node inside a relay), judges
+  the survivors as one ``vector_approvals`` batch, lands the approved
+  copies in one bookkeeping step and pushes ``(peer, landed)``.  A
+  contact lands its whole candidate batch, then floods once from the
+  peer; a creation floods from the source.  Holdings keep only the hop
+  count, and no per-node carried sets are kept.
 * **buffered probes** — a supplied tracer is wrapped in
   :class:`repro.obs.BufferedTracer`, so ``obs`` tracing keeps working
   (same events, same order, same file bytes) without paying per-event
   sink overhead inside the loop.
+
+The flood is exact.  Restricted to one message, its stack operations are
+that message's own relay DFS: the same pushes in the same peer order and
+LIFO pops (a subsequence of a stack is a stack), so reach, first-delivery
+time and hop count are unchanged.  ``active_peers`` cannot change inside a
+zero-time relay, so the peer snapshot is the same whenever it is taken;
+the counters are sums, so their totals do not depend on order; and the
+``vector_approvals`` contract — judging one message never changes another
+message's verdict — is exactly the cross-message independence the
+interleaving needs.  As in the per-message relay, a delivery made by the
+contact itself does not relay onward, while a delivery made inside the
+relay pushes the destination.
+
+The flood gate is decided once per run from the run's inputs: a fast-path
+protocol, infinite buffers, ``copy`` semantics, one effective size for
+every message, and neither a tracer nor telemetry.  Everything else keeps
+the per-message relay, because there the order across messages is
+observable: a tracer records DES event order byte for byte, hand-off
+interleaves adds and removes (so peak occupancy depends on the order),
+finite buffers evict across messages, and with mixed sizes the float
+occupancy sum depends on addition order.  :attr:`VectorSimulator.
+code_path` reports which path a run took.
 
 Equivalence guarantee
 ---------------------
@@ -119,15 +151,28 @@ class VectorSimulator:
         # run-scoped state, rebound by run()
         self._history = OnlineContactHistory()
         self._stats = ResourceStats()
+        self._code_path: Optional[str] = None
 
     @property
     def constraints(self) -> ResourceConstraints:
         return self._constraints
 
+    @property
+    def code_path(self) -> Optional[str]:
+        """The code path the last :meth:`run` took, ``None`` before one.
+
+        ``"delegate"`` (handed to the DES engine), ``"flood"`` (the
+        message-parallel relay), ``"fastpath"`` (batched decisions, one
+        relay per message) or ``"hook"`` (per-message ``should_forward``
+        and the lifecycle hooks); the module docstring gives the gates.
+        """
+        return self._code_path
+
     # ------------------------------------------------------------------
     def run(self, messages: Sequence[Message]) -> ConstrainedSimulationResult:
         """Simulate the delivery of *messages* under the constraints."""
         if self._delegate:
+            self._code_path = "delegate"
             return DesSimulator(
                 self._trace, self._protocol, constraints=self._constraints,
                 copy_semantics=self._copy_semantics,
@@ -166,20 +211,36 @@ class VectorSimulator:
         self._size_of = {
             m.id: self._constraints.effective_size(m) for m in messages}
         self._dest_of = {m.id: index_of(m.destination) for m in messages}
-
-        # contact/holding containers keep the exact types (and therefore
-        # mutation-order-dependent iteration order) of the DES engine
-        self._active_counts: Dict[int, int] = {}
-        self._active_peers: List[set] = [set() for _ in range(num_nodes)]
-        self._carried: List[set] = [set() for _ in range(num_nodes)]
-        self._holdings: Dict[int, Dict[int, tuple]] = {}
-        self._delivered: Dict[int, tuple] = {}
-        self._expired: set = set()
         # infinite buffers admit everything and never evict, so the only
         # observable buffer state is per-node occupancy and its peak: two
         # float lists updated with the same +=/-=/max sequence NodeBuffer
         # would apply, skipping the BufferEntry allocations entirely
         self._fastbuf = self._constraints.buffer_capacity is None
+        sizes = set(self._size_of.values())
+        self._flooding = (self._fastpath and self._fastbuf and self._copy
+                          and len(sizes) <= 1
+                          and self._tracer is None and self._telemetry is None)
+        self._flood_size = sizes.pop() if self._flooding and sizes else 0.0
+        self._code_path = ("flood" if self._flooding
+                           else "fastpath" if self._fastpath else "hook")
+
+        # contact/holding containers keep the exact types (and therefore
+        # mutation-order-dependent iteration order) of the DES engine;
+        # holdings map message id -> {holder: hop count}.  The flood never
+        # reads the carried sets (its order across messages is free), so
+        # it keeps none.
+        self._active_counts: Dict[int, int] = {}
+        self._active_peers: List[set] = [set() for _ in range(num_nodes)]
+        self._carried: List[set] = ([] if self._flooding
+                                    else [set() for _ in range(num_nodes)])
+        self._holdings: Dict[int, Dict[int, int]] = {}
+        self._delivered: Dict[int, tuple] = {}
+        self._expired: set = set()
+        # per node, the messages it is the destination of (the flood's
+        # delivery screen)
+        self._dest_bits = [0] * num_nodes
+        for m in messages:
+            self._dest_bits[self._dest_of[m.id]] |= self._bit_of[m.id]
         if self._fastbuf:
             self._buffers = []
             self._buf_used = [0.0] * num_nodes
@@ -373,7 +434,7 @@ class VectorSimulator:
         interpreter ops each.  Semantically identical to the general loop
         plus :meth:`_on_contact_start`/:meth:`_on_contact_end` with the
         fast-path flag set — which is exactly the precondition for
-        entering it.
+        entering it.  On the flood gate a contact's offer floods.
         """
         times, kinds, ev_a, ev_b, ev_pair = timeline
         counts = self._active_counts
@@ -382,7 +443,7 @@ class VectorSimulator:
         active_peers = self._active_peers
         carried_bits = self._carried_bits
         ever_bits = self._ever_bits
-        offer = self._offer
+        offer = self._offer_flood if self._flooding else self._offer
         on_create = self._on_create
         on_expire = self._on_expire
         for time, kind, a, b, pair in zip(times, kinds, ev_a, ev_b, ev_pair):
@@ -480,14 +541,17 @@ class VectorSimulator:
                                 node=message.source, reason="source_rejected")
                 return
         bit = self._bit_of[message.id]
-        self._holdings[message.id] = {source: (time, 0)}
+        self._holdings[message.id] = {source: 0}
+        self._carried_bits[source] |= bit
+        self._ever_bits[source] |= bit
+        self._launched_bits |= bit
+        if self._flooding:
+            self._flood(source, bit, time)
+            return
         # carried-set mutations must keep the DES engine's exact order
         # (add before evicting victims): set iteration order downstream
         # depends on the mutation history, and _offer walks that order
         self._carried[source].add(message.id)
-        self._carried_bits[source] |= bit
-        self._ever_bits[source] |= bit
-        self._launched_bits |= bit
         if not self._fastbuf:
             self._drop_evicted(source, evicted, time)
         self._cascade(message, source, time)
@@ -505,7 +569,8 @@ class VectorSimulator:
             not_bit = ~bit
             size = self._size_of[message_id]
             for node in holders:
-                self._carried[node].discard(message_id)
+                if not self._flooding:
+                    self._carried[node].discard(message_id)
                 self._carried_bits[node] &= not_bit
                 if self._fastbuf:
                     self._buf_used[node] -= size
@@ -564,9 +629,7 @@ class VectorSimulator:
             return False
         if self._ever_bits[peer] & bit:
             return False
-        receive_time, hops = self._holdings[message_id][carrier]
-        if time < receive_time:
-            return False
+        hops = self._holdings[message_id][carrier]
         counter = self._counter
         if peer != self._dest_of[message_id]:
             counter.decisions += 1
@@ -580,8 +643,13 @@ class VectorSimulator:
                  cascade: bool = True) -> bool:
         """Attempt to move *message* from *carrier* to *peer* at *time*.
 
-        Guard order mirrors :meth:`DesSimulator._attempt` (minus the
-        fault guards, which cannot fire on the native path).
+        Guard order mirrors :meth:`DesSimulator._attempt` minus the fault
+        guards and the receive-time guard, none of which can fire here.
+        The DES engine needs the latter because a delayed channel lets a
+        reception outlive its contact; on the native path every reception
+        happens at the current event time of a time-sorted replay, so a
+        carrier never holds a copy received after *time* — and holdings
+        keep only the hop count.
         """
         message_id = message.id
         bit = self._bit_of[message_id]
@@ -591,9 +659,7 @@ class VectorSimulator:
             return False
         if self._ever_bits[peer] & bit:
             return False
-        receive_time, hops = self._holdings[message_id][carrier]
-        if time < receive_time:
-            return False
+        hops = self._holdings[message_id][carrier]
         if peer != self._dest_of[message_id]:
             node_of = self._node_of
             if not self._counter.should_forward(
@@ -653,6 +719,108 @@ class VectorSimulator:
                     frontier.append(peer)
 
     # ------------------------------------------------------------------
+    # the message-parallel flood (see the module docstring for the gate)
+    # ------------------------------------------------------------------
+    def _offer_flood(self, carrier: int, peer: int, time, cand: int) -> None:
+        """One direction of a contact on the flood gate: land the whole
+        candidate batch, then flood once from *peer* with every landed
+        message except those *peer* is the destination of (a delivery by
+        the contact itself relays no further, as in :meth:`_transfer`)."""
+        landed = self._land(carrier, peer, time, cand)
+        landed &= ~self._dest_bits[peer]
+        if landed:
+            self._flood(peer, landed, time)
+
+    def _flood(self, start: int, live: int, time) -> None:
+        """Zero-time relay of every message in *live* from *start* at once.
+
+        One DFS over ``(node, message mask)`` entries; restricted to any
+        one message it is :meth:`_cascade`'s DFS for that message.  Under
+        the gate a landed copy stays carried for the whole relay, so only
+        the stop mask (reread per peer: a landing may deliver) narrows a
+        popped entry.
+        """
+        active_peers = self._active_peers
+        ever_bits = self._ever_bits
+        land = self._land
+        stack = [(start, live)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            node, live = pop()
+            for peer in list(active_peers[node]):
+                cand = live & ~(ever_bits[peer] | self._stop_bits)
+                if cand:
+                    landed = land(node, peer, time, cand)
+                    if landed:
+                        push((peer, landed))
+
+    def _land(self, carrier: int, peer: int, time, cand: int) -> int:
+        """Judge the screened batch *cand* from *carrier* to *peer* as one
+        ``vector_approvals`` call and land what passes; returns the mask
+        of landed messages.
+
+        Messages destined for *peer* land without a decision (minimal
+        progress); every other one is charged one decision, and one
+        approval if its verdict is True, exactly as :meth:`_attempt_batched`
+        charges them.  The bookkeeping is :meth:`_receive` and
+        :meth:`_transfer` for infinite buffers and ``copy`` semantics,
+        applied to the whole batch: with one effective size the float
+        occupancy sum, and so its peak, does not depend on the order.
+        """
+        message_list = self._message_list
+        holdings = self._holdings
+        landed = delivering = cand & self._dest_bits[peer]
+        judged = cand ^ delivering
+        if judged:
+            batch = []
+            while judged:
+                low = judged & -judged
+                judged ^= low
+                batch.append(message_list[low.bit_length() - 1])
+            node_of = self._node_of
+            carrier_node, peer_node = node_of[carrier], node_of[peer]
+            verdicts = self._approvals_fn(carrier_node, peer_node, batch, time)
+            bit_of = self._bit_of
+            on_forwarded = self._protocol.on_forwarded
+            approvals = 0
+            for message, approved in zip(batch, verdicts):
+                if approved:
+                    approvals += 1
+                    holders = holdings[message.id]
+                    holders[peer] = holders[carrier] + 1
+                    landed |= bit_of[message.id]
+                    on_forwarded(message, carrier_node, peer_node, time)
+            counter = self._counter
+            counter.decisions += len(batch)
+            counter.approvals += approvals
+        if not landed:
+            return 0
+        self._ever_bits[peer] |= landed
+        self._carried_bits[peer] |= landed
+        count = landed.bit_count()
+        self._stats.copies_sent += count
+        used = self._buf_used[peer]
+        size = self._flood_size
+        for _ in range(count):
+            used += size
+        self._buf_used[peer] = used
+        if used > self._buf_peak[peer]:
+            self._buf_peak[peer] = used
+        while delivering:
+            low = delivering & -delivering
+            delivering ^= low
+            message = message_list[low.bit_length() - 1]
+            holders = holdings[message.id]
+            hops = holders[peer] = holders[carrier] + 1
+            if message.id not in self._delivered:
+                self._delivered[message.id] = (time, hops)
+                if self._stop_on_delivery:
+                    self._stop_bits |= low
+                self._protocol.on_delivered(message, time)
+        return landed
+
+    # ------------------------------------------------------------------
     # reception and bookkeeping (mirroring the DES engine)
     # ------------------------------------------------------------------
     def _receive(self, message: Message, peer: int, time, hops: int,
@@ -695,9 +863,9 @@ class VectorSimulator:
         if admitted:
             holders = self._holdings.get(message_id)
             if holders is not None:
-                holders[peer] = (time, hops)
+                holders[peer] = hops
             else:  # defensive: holdings exist whenever copies circulate
-                self._holdings[message_id] = {peer: (time, hops)}
+                self._holdings[message_id] = {peer: hops}
             self._carried[peer].add(message_id)
             self._carried_bits[peer] |= bit
             if evicted:

@@ -5,9 +5,9 @@ every protocol must produce *identical* delivery streams — deliveries,
 first-delivery times, hop counts and total copy counts — in the
 trace-driven :class:`~repro.forwarding.ForwardingSimulator` and the
 unconstrained :class:`~repro.sim.DesSimulator` on the four paper dataset
-stand-ins.  It also pins the compatibility guarantee: the six paper
-algorithms behave byte-identically whether run raw (pre-wrapper API) or
-through the protocol registry, in both engines.
+stand-ins.  It also pins the six paper algorithms: the protocol registry
+hands out their own classes (there is no wrapper), and each produces the
+same stream in both engines.
 """
 
 from __future__ import annotations
@@ -58,16 +58,17 @@ def test_new_protocols_identical_across_engines(dataset_key):
 
 @pytest.mark.parametrize("dataset_key", PAPER_DATASET_KEYS[:1])
 def test_paper_algorithms_unchanged_under_wrapper(dataset_key):
-    """Raw legacy API == registry-wrapped, in both engines (acceptance)."""
+    """The registry returns each paper algorithm's own class, unwrapped,
+    and the trace-driven and DES engines agree on its stream."""
     trace = load_dataset(dataset_key, scale=_SCALE, contact_scale=_SCALE)
     messages = _workload(trace, seed=17)
     for name in algorithm_names():
-        raw = ForwardingSimulator(trace, algorithm_by_name(name)).run(messages)
-        wrapped_trace = ForwardingSimulator(
-            trace, protocol_by_name(name)).run(messages)
-        wrapped_des = DesSimulator(trace, protocol_by_name(name)).run(messages)
-        _assert_results_equal(raw, wrapped_trace, context=f"trace {name}")
-        _assert_results_equal(raw, wrapped_des, context=f"des {name}")
+        assert type(algorithm_by_name(name)) is type(protocol_by_name(name)), \
+            name
+        reference = ForwardingSimulator(
+            trace, algorithm_by_name(name)).run(messages)
+        des = DesSimulator(trace, protocol_by_name(name)).run(messages)
+        _assert_results_equal(reference, des, context=f"des {name}")
 
 
 def test_new_protocols_identical_without_stop_on_delivery():

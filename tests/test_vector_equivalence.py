@@ -15,6 +15,7 @@ same-timestamp contacts must tie-break exactly like the DES event heap.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from repro.contacts import Contact, ContactTrace
 from repro.datasets import PAPER_DATASET_KEYS, load_dataset
 from repro.forwarding import Message, PoissonMessageWorkload
-from repro.obs import JsonlTracer
+from repro.obs import JsonlTracer, RecordingTracer
 from repro.routing.registry import protocol_by_name, protocol_catalogue, protocol_names
 from repro.sim import (
     DesSimulator,
@@ -179,16 +180,30 @@ def tie_heavy_workloads(draw):
     return trace, messages
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(payload=tie_heavy_workloads())
-def test_same_timestamp_batches_tie_break_like_the_des_heap(payload):
+@given(payload=tie_heavy_workloads(),
+       protocol_name=st.sampled_from(FASTPATH_PROTOCOLS),
+       copy_semantics=st.sampled_from(["copy", "handoff"]),
+       stop_on_delivery=st.booleans(),
+       uniform=st.booleans(),
+       sizes=st.lists(st.sampled_from([0.1, 0.7, 1.0, 2.5]),
+                      min_size=6, max_size=6))
+def test_same_timestamp_batches_tie_break_like_the_des_heap(
+        payload, protocol_name, copy_semantics, stop_on_delivery, uniform,
+        sizes):
     """Simultaneous contact starts/ends and creations must process in the
-    DES event-heap order — deliveries, hops and copies all agree."""
+    DES event-heap order — deliveries, hops, copies and every stat counter
+    agree for every fast-path protocol, on both sides of the flood gate
+    (copy or hand-off, with or without stop-on-delivery, one message size
+    or mixed sizes)."""
     trace, messages = payload
-    for protocol_name in ("Epidemic", "Binary Spray-and-Wait"):
-        reference, candidate = _run_both(trace, messages, protocol_name)
-        _assert_results_equal(reference, candidate, context=protocol_name)
+    messages = [dataclasses.replace(m, size=sizes[0] if uniform else size)
+                for m, size in zip(messages, sizes)]
+    reference, candidate = _run_both(
+        trace, messages, protocol_name, copy_semantics=copy_semantics,
+        stop_on_delivery=stop_on_delivery)
+    _assert_results_equal(reference, candidate, context=protocol_name)
 
 
 @settings(max_examples=40, deadline=None,
@@ -219,6 +234,35 @@ def test_traced_vector_run_is_byte_identical_to_des(tmp_path):
         VectorSimulator(trace, protocol_by_name("Epidemic"),
                         tracer=tracer).run(messages)
     assert des_path.read_bytes() == vec_path.read_bytes()
+
+
+def test_code_path_reports_the_gate_each_run_takes():
+    """``code_path`` names the path ``run()`` chose: the message-parallel
+    flood only when the order across messages cannot be observed."""
+    trace = ContactTrace([Contact(0.0, 10.0, 0, 1), Contact(5.0, 30.0, 1, 2)],
+                         nodes=range(3), duration=60.0, name="tiny")
+    messages = [Message(id=0, source=0, destination=2, creation_time=0.0),
+                Message(id=1, source=2, destination=0, creation_time=1.0)]
+    mixed = [dataclasses.replace(messages[0], size=0.5), messages[1]]
+
+    def path(protocol_name="Epidemic", runs=messages, **options):
+        simulator = VectorSimulator(trace, protocol_by_name(protocol_name),
+                                    **options)
+        assert simulator.code_path is None
+        simulator.run(runs)
+        return simulator.code_path
+
+    assert path() == "flood"
+    assert path(runs=mixed,
+                constraints=ResourceConstraints(message_size=2.0)) == "flood"
+    assert path("Binary Spray-and-Wait", stop_on_delivery=False) == "flood"
+    assert path(copy_semantics="handoff") == "fastpath"
+    assert path(runs=mixed) == "fastpath"
+    assert path(constraints=ResourceConstraints(buffer_capacity=5.0)) == \
+        "fastpath"
+    assert path(tracer=RecordingTracer()) == "fastpath"
+    assert path("PRoPHET") == "hook"
+    assert path(constraints=ResourceConstraints(bandwidth=2.0)) == "delegate"
 
 
 def test_protocol_catalogue_reports_vector_support():
