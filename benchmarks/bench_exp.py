@@ -5,7 +5,7 @@ Three measurements, written to ``BENCH_exp.json`` at the repo root:
 
 * **orchestration overhead** — ``run_scenario`` (which now plans,
   content-hashes and dispatches through ``repro.exp``) against a direct
-  ``DesSimulator`` loop over the same (run × algorithm) jobs, so the cost
+  ``VectorSimulator`` loop over the same (run × algorithm) jobs, so the cost
   of the planner/executor sandwich is tracked across PRs;
 * **per-worker trace cache** — a 100+-job grid (sweep values × seeds ×
   protocols on a mobility scenario whose trace is expensive to build)
@@ -40,7 +40,7 @@ from repro.exp import ExperimentSpec, SweepAxis, build_plan  # noqa: E402
 from repro.exp.orchestrator import execute_plan, run_experiment  # noqa: E402
 from repro.exp.store import ResultStore  # noqa: E402
 from repro.routing.registry import protocol_by_name  # noqa: E402
-from repro.sim import DesSimulator, Scenario, get_scenario  # noqa: E402
+from repro.sim import Scenario, VectorSimulator, get_scenario  # noqa: E402
 from repro.sim.runner import run_scenario  # noqa: E402
 from repro.sim.scenarios import RandomWaypointTraceSpec  # noqa: E402
 from repro.forwarding.messages import PoissonMessageWorkload  # noqa: E402
@@ -58,7 +58,7 @@ def _median_time(factory, repeats: int) -> float:
 
 
 def _bench_orchestration_overhead(repeats: int) -> dict:
-    """run_scenario (through repro.exp) vs a direct DesSimulator loop."""
+    """run_scenario (through repro.exp) vs a direct loop on the same kernel."""
     scenario = get_scenario("paper-ttl-tight").with_overrides(num_runs=2)
 
     def direct():
@@ -68,10 +68,10 @@ def _bench_orchestration_overhead(repeats: int) -> dict:
         for run_index in range(scenario.num_runs):
             messages = scenario.build_messages(trace, run_index)
             for name in scenario.algorithms:
-                DesSimulator(trace, protocol_by_name(name),
-                             constraints=scenario.constraints,
-                             copy_semantics=scenario.copy_semantics,
-                             ).run(messages)
+                VectorSimulator(trace, protocol_by_name(name),
+                                constraints=scenario.constraints,
+                                copy_semantics=scenario.copy_semantics,
+                                seed=scenario.seed).run(messages)
 
     direct_s = _median_time(direct, repeats)
     orchestrated_s = _median_time(lambda: run_scenario(scenario), repeats)

@@ -57,11 +57,11 @@ __all__ = [
 #: Default number of paths kept per node, matching the paper's k >= 2000.
 DEFAULT_K = 2000
 
-#: Engines accepted by :class:`PathEnumerator`.  ``"fast"`` runs the interned
+#: Enumerators accepted by :class:`PathEnumerator` (its ``engine`` argument).  ``"fast"`` runs the interned
 #: bitmask dynamic program over the graph's precomputed step tables;
 #: ``"reference"`` runs the original frozenset/Path implementation.  Both
 #: produce identical delivery streams (enforced by the equivalence suite).
-ENGINES = ("fast", "reference")
+ENUMERATORS = ("fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,8 @@ class PathEnumerator:
                  engine: str = "fast") -> None:
         if k < 1:
             raise ValueError("k must be at least 1")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+        if engine not in ENUMERATORS:
+            raise ValueError(f"engine must be one of {ENUMERATORS}, got {engine!r}")
         self._graph = graph
         self._k = k
         self._engine = engine

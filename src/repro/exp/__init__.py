@@ -1,7 +1,8 @@
 """repro.exp — unified experiment orchestration.
 
 One declarative :class:`ExperimentSpec` (grid of scenarios × protocols ×
-constraint axis × seeds × runs × engine) flows through one pipeline::
+constraint axis × seeds × runs) flows through one pipeline, every job on
+the vector kernel::
 
     spec  →  planner (content-hashed jobs)  →  shared worker pool
           →  persistent JSONL result store  →  pooled reports
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING
 _EXPORTS = {
     "ExperimentSpec": ".spec",
     "SweepAxis": ".spec",
-    "ENGINES": ".spec",
     "ExperimentPlan": ".plan",
     "PlannedJob": ".plan",
     "build_plan": ".plan",
@@ -73,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         encode_failure_record,
         encode_record,
     )
-    from .spec import ENGINES, ExperimentSpec, SweepAxis
+    from .spec import ExperimentSpec, SweepAxis
     from .store import DEFAULT_STORE_ROOT, ResultStore
 
 

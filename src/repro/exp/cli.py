@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..analysis.tables import format_table
-from .spec import ENGINES, ExperimentSpec
+from .spec import ExperimentSpec
 from .store import DEFAULT_STORE_ROOT
 
 __all__ = ["add_exp_commands", "dispatch_exp_command"]
@@ -68,9 +68,6 @@ def add_exp_commands(commands: argparse._SubParsersAction) -> None:
         command.add_argument("--fresh", action="store_true",
                              help="ignore stored records and re-run every "
                                   "job (new records still persist)")
-        command.add_argument("--engine", choices=ENGINES, default=None,
-                             help="override the spec's simulation kernel "
-                                  "(default: the spec's own engine field)")
         command.add_argument("--json", metavar="PATH", default=None,
                              help="also write the pooled rows as JSON")
         command.add_argument("--timeout", type=float, default=None,
@@ -180,8 +177,6 @@ def _cmd_exp_run(args: argparse.Namespace, write_json) -> int:
     if args.remote is not None:
         return _cmd_exp_run_remote(args, write_json)
     spec = _load_spec(args.spec)
-    if args.engine is not None:
-        spec = spec.with_overrides(engine=args.engine)
     store = None if args.no_store else args.store
     if args.retries < 0:
         raise SystemExit("--retries must be >= 0")
@@ -191,8 +186,8 @@ def _cmd_exp_run(args: argparse.Namespace, write_json) -> int:
                          max_attempts=args.retries + 1)
     try:
         # plan separately so only genuine spec problems (unknown names,
-        # trace engine on constrained points, flat ttl sweeps) get the
-        # "invalid spec" label; store/runtime errors surface as themselves
+        # flat ttl sweeps) get the "invalid spec" label; store/runtime
+        # errors surface as themselves
         plan = build_plan(spec)
     except (KeyError, ValueError) as error:
         raise SystemExit(f"invalid experiment spec {args.spec}: "

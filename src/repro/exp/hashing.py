@@ -2,8 +2,8 @@
 
 Job identity is *content-addressed*: two jobs hash equal exactly when they
 would produce the same :class:`~repro.sim.ConstrainedSimulationResult` —
-same trace source, workload, seed, run index, constraints, protocol, copy
-semantics and engine.  Names, descriptions and grid packaging (which
+same trace source, workload, seed, run index, constraints, protocol and
+copy semantics.  Names, descriptions and grid packaging (which
 experiment spec a job came from, how many sibling seeds it had) are
 deliberately excluded, so extending a grid or renaming an experiment reuses
 every already-stored record.

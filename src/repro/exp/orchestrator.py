@@ -27,7 +27,8 @@ from ..forwarding.messages import Message
 from ..obs.telemetry import EngineTelemetry, ObsConfig, PhaseTimers, write_metrics_json
 from ..obs.tracing import JsonlTracer
 from ..routing.registry import protocol_by_name
-from ..sim.engine import ConstrainedSimulationResult, DesSimulator, ResourceStats
+from ..sim.engine import ConstrainedSimulationResult
+from ..sim.vector import VectorSimulator
 from .executor import FaultPolicy, JobFailure, resilient_map
 from .plan import ExperimentPlan, PlannedJob, build_plan
 from .pool import process_map
@@ -56,10 +57,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 _WORKER: Dict[str, Dict[str, object]] = {"traces": {}, "messages": {}}
 
-#: (scenario, protocol, run_index, engine, trace_key, messages_key, cache?,
+#: (scenario, protocol, run_index, trace_key, messages_key, cache?,
 #:  trace_path?, telemetry?)
-_JobPayload = Tuple[object, str, int, str, str, str, bool,
-                    Optional[str], bool]
+_JobPayload = Tuple[object, str, int, str, str, bool, Optional[str], bool]
 
 
 def _init_exp_worker(warm_traces: Dict[str, ContactTrace],
@@ -69,7 +69,7 @@ def _init_exp_worker(warm_traces: Dict[str, ContactTrace],
 
 
 def _run_exp_job(payload: _JobPayload) -> ConstrainedSimulationResult:
-    (scenario, protocol, run_index, engine, trace_key, messages_key, cache,
+    (scenario, protocol, run_index, trace_key, messages_key, cache,
      trace_path, want_telemetry) = payload
     traces = _WORKER["traces"]
     trace = traces.get(trace_key) if cache else None
@@ -86,35 +86,11 @@ def _run_exp_job(payload: _JobPayload) -> ConstrainedSimulationResult:
     tracer = JsonlTracer(trace_path) if trace_path else None
     telemetry = EngineTelemetry() if want_telemetry else None
     try:
-        if engine == "trace":
-            from ..forwarding.simulator import ForwardingSimulator
-
-            ideal = ForwardingSimulator(
-                trace, protocol_by_name(protocol),
-                copy_semantics=scenario.copy_semantics,
-                tracer=tracer, telemetry=telemetry).run(messages)
-            result = ConstrainedSimulationResult(
-                algorithm=ideal.algorithm, trace_name=ideal.trace_name,
-                constraints=scenario.constraints,
-                stats=ResourceStats(copies_sent=ideal.copies_sent or 0),
-                copies_sent=ideal.copies_sent)
-            result.outcomes.extend(ideal.outcomes)
-        elif engine == "vector":
-            from ..sim.vector import VectorSimulator
-
-            simulator = VectorSimulator(trace, protocol_by_name(protocol),
-                                        constraints=scenario.constraints,
-                                        copy_semantics=scenario.copy_semantics,
-                                        seed=scenario.seed,
-                                        tracer=tracer, telemetry=telemetry)
-            result = simulator.run(messages)
-        else:
-            simulator = DesSimulator(trace, protocol_by_name(protocol),
-                                     constraints=scenario.constraints,
-                                     copy_semantics=scenario.copy_semantics,
-                                     seed=scenario.seed,
-                                     tracer=tracer, telemetry=telemetry)
-            result = simulator.run(messages)
+        result = VectorSimulator(trace, protocol_by_name(protocol),
+                                 constraints=scenario.constraints,
+                                 copy_semantics=scenario.copy_semantics,
+                                 seed=scenario.seed, tracer=tracer,
+                                 telemetry=telemetry).run(messages)
     finally:
         if tracer is not None:
             tracer.close()
@@ -235,7 +211,7 @@ def execute_plan(
     trace_dir = obs.trace_dir if obs is not None else None
     want_telemetry = bool(obs is not None and obs.wants_telemetry)
     payloads: List[_JobPayload] = [
-        (job.scenario, job.protocol, job.run_index, job.engine,
+        (job.scenario, job.protocol, job.run_index,
          job.trace_key, job.messages_key, trace_cache,
          (str(obs.trace_path(job.job_hash)) if trace_dir else None),
          want_telemetry)

@@ -1,17 +1,17 @@
 """Grid expansion: an :class:`ExperimentSpec` becomes content-hashed jobs.
 
 One :class:`PlannedJob` is one simulation — a fully resolved scenario (seed,
-constraints and protocol list baked in), one protocol, one run index, one
-engine.  The planner expands the spec's grid in a fixed canonical order —
-scenario → sweep value → seed → run → protocol — which is exactly the order
-the legacy runners used, so adapters can reassemble their historical result
-shapes by walking ``plan.jobs`` linearly.
+constraints and protocol list baked in), one protocol, one run index, on
+the vector kernel.  The planner expands the spec's grid in a fixed
+canonical order — scenario → sweep value → seed → run → protocol — which is
+exactly the order the legacy runners used, so adapters can reassemble their
+historical result shapes by walking ``plan.jobs`` linearly.
 
 Every job carries three content hashes:
 
 ``job_hash``
     Identity of the *result* (trace source, workload, seed, run index,
-    constraints, protocol, copy semantics, engine).  The persistent store
+    constraints, protocol, copy semantics).  The persistent store
     is keyed by this, which is what makes runs resumable and grids
     incrementally extensible.
 ``trace_key``
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Union
 from ..routing.registry import protocol_by_name
 from ..sim.scenarios import Scenario, get_scenario
 from .hashing import stable_hash
-from .spec import ExperimentSpec
+from .spec import KERNEL, ExperimentSpec
 
 __all__ = ["PlannedJob", "ExperimentPlan", "build_plan",
            "reject_flat_ttl_sweep"]
@@ -47,7 +47,6 @@ class PlannedJob:
     protocol: str
     seed: int
     run_index: int
-    engine: str
     trace_key: str
     messages_key: str
     #: content identity of the (trace source, workload) pair — two inline
@@ -86,15 +85,15 @@ class ExperimentPlan:
         return list(dict.fromkeys(job.scenario_name for job in self.jobs))
 
 
-def job_identity(scenario: Scenario, protocol: str, run_index: int,
-                 engine: str) -> Dict[str, object]:
+def job_identity(scenario: Scenario, protocol: str,
+                 run_index: int) -> Dict[str, object]:
     """The content dict whose hash is a job's store key.
 
     Scenario *name*, *description*, sibling protocols and run counts are
     deliberately absent: they do not influence the simulation result.
     """
     return {
-        "engine": engine,
+        "engine": KERNEL,
         "protocol": protocol,
         "run_index": run_index,
         "seed": scenario.seed,
@@ -231,15 +230,6 @@ def build_plan(spec: ExperimentSpec,
                     **{spec.sweep.parameter: value})
             else:
                 constraints = base.constraints
-            if spec.engine == "trace" and (
-                    not constraints.is_unconstrained
-                    or constraints.message_size is not None):
-                # the trace-driven simulator ignores every constraint,
-                # message sizes included — a constrained (or size-swept)
-                # grid point would silently be idealized
-                raise ValueError(
-                    "the 'trace' engine is idealized; constrained grid "
-                    "points (including message_size) need engine='des'")
             for seed in seeds:
                 scenario = base.with_overrides(seed=seed,
                                                constraints=constraints)
@@ -270,15 +260,13 @@ def build_plan(spec: ExperimentSpec,
                     for protocol in protocols:
                         plan.jobs.append(PlannedJob(
                             job_hash=(stable_hash(job_identity(
-                                scenario, hash_names[protocol], run_index,
-                                spec.engine)) if hashable else
-                                f"{messages_key}-{hash_names[protocol]}"
-                                f"-{spec.engine}"),
+                                scenario, hash_names[protocol], run_index))
+                                if hashable else
+                                f"{messages_key}-{hash_names[protocol]}"),
                             scenario=scenario,
                             protocol=protocol,
                             seed=scenario.seed,
                             run_index=run_index,
-                            engine=spec.engine,
                             trace_key=trace_key,
                             messages_key=messages_key,
                             scenario_key=scenario_key,

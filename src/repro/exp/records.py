@@ -26,7 +26,7 @@ from ..sim.engine import (
 )
 from .executor import JobFailure
 from .plan import PlannedJob
-from .spec import constraints_to_dict
+from .spec import KERNEL, constraints_to_dict
 
 __all__ = [
     "RECORD_SCHEMA",
@@ -70,7 +70,7 @@ def encode_record(job: PlannedJob, result: ConstrainedSimulationResult,
         "protocol": job.protocol,
         "seed": job.seed,
         "run_index": job.run_index,
-        "engine": job.engine,
+        "engine": KERNEL,
         "copy_semantics": job.scenario.copy_semantics,
         "sweep": (None if job.sweep_parameter is None else
                   {"parameter": job.sweep_parameter,
@@ -143,7 +143,7 @@ def encode_failure_record(job: PlannedJob, failure: JobFailure,
         "protocol": job.protocol,
         "seed": job.seed,
         "run_index": job.run_index,
-        "engine": job.engine,
+        "engine": KERNEL,
         "error": failure.error,
         "error_kind": failure.error_kind,
         "attempts": failure.attempts,

@@ -1,7 +1,7 @@
 """Declarative experiment specifications.
 
 An :class:`ExperimentSpec` names a grid — scenarios × protocols × one
-optional constraint axis × seeds × runs × engine — and nothing else: no
+optional constraint axis × seeds × runs — and nothing else: no
 imperative fan-out, no merge logic, no result shapes.  The planner
 (:mod:`repro.exp.plan`) expands it into content-hashed jobs, the orchestrator
 (:mod:`repro.exp.orchestrator`) executes them through the shared pool, and
@@ -35,7 +35,8 @@ are thin adapters that build one of these specs internally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -43,13 +44,16 @@ from ..routing.registry import protocol_by_name, protocol_names
 from ..sim.engine import SWEEPABLE_PARAMETERS, ResourceConstraints
 from ..sim.scenarios import Scenario, get_scenario
 
-__all__ = ["ENGINES", "ExperimentSpec", "SweepAxis", "constraints_to_dict"]
+__all__ = ["KERNEL", "ExperimentSpec", "SweepAxis", "constraints_to_dict"]
 
-#: Supported simulation engines: the resource-constrained DES engine, the
-#: idealized trace-driven simulator (unconstrained runs only), and the
-#: array-native vector kernel (delivery-stream-equivalent to ``des``, built
-#: for 10k+-node scenarios; bandwidth/fault configurations delegate to des).
-ENGINES = ("des", "trace", "vector")
+#: The kernel every job runs on, written into job identities and records
+#: under ``"engine"`` so store keys from when the kernel was a per-spec
+#: choice stay valid for ``"vector"`` runs.
+KERNEL = "vector"
+
+#: Kernel names older spec files and service journals carry; the vector
+#: kernel is delivery-stream-equivalent to both.
+_RETIRED_KERNELS = ("des", "trace")
 
 
 def _normalize_scenario(entry: Union[str, Scenario, Mapping]) -> \
@@ -107,6 +111,10 @@ class SweepAxis:
 class ExperimentSpec:
     """A declarative grid of simulation jobs.
 
+    Every job runs on :class:`~repro.sim.vector.VectorSimulator`, which is
+    delivery-stream-equivalent to :class:`~repro.sim.engine.DesSimulator`
+    and hands bandwidth, channel and churn runs to it.
+
     Parameters
     ----------
     name:
@@ -130,10 +138,10 @@ class ExperimentSpec:
     sweep:
         Optional :class:`SweepAxis` gridded on top of the base constraints.
     engine:
-        ``"des"`` (default), ``"trace"`` (idealized trace-driven
-        simulator; requires unconstrained grid points), or ``"vector"``
-        (array-native kernel, delivery-stream-equivalent to ``des`` and an
-        order of magnitude faster on city-scale scenarios).
+        Accepted when loading only, so older spec files and service
+        journals still load: ``"vector"`` is silent, ``"des"`` and
+        ``"trace"`` warn that the field is ignored, anything else raises.
+        It is not stored, hashed or written by :meth:`to_dict`.
     copy_semantics:
         ``"copy"`` / ``"handoff"`` override; ``None`` uses each scenario's.
     """
@@ -145,10 +153,10 @@ class ExperimentSpec:
     num_runs: Optional[int] = None
     constraints: Optional[ResourceConstraints] = None
     sweep: Optional[SweepAxis] = None
-    engine: str = "des"
+    engine: InitVar[Optional[str]] = None
     copy_semantics: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, engine: Optional[str]) -> None:
         if not self.name:
             raise ValueError("an experiment needs a name")
         if not self.scenarios:
@@ -177,9 +185,13 @@ class ExperimentSpec:
                                tuple(int(seed) for seed in self.seeds))
         if self.num_runs is not None and self.num_runs < 1:
             raise ValueError("num_runs must be positive")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             f"known: {', '.join(ENGINES)}")
+        if engine in _RETIRED_KERNELS:
+            warnings.warn(f"experiment spec field engine={engine!r} is "
+                          f"ignored: every job runs on the vector kernel",
+                          stacklevel=3)
+        elif engine not in (None, KERNEL):
+            raise ValueError(f"unknown engine {engine!r}; every job runs on "
+                             f"the vector kernel")
         if self.copy_semantics not in (None, "copy", "handoff"):
             raise ValueError("copy_semantics must be 'copy' or 'handoff'")
 
@@ -214,8 +226,6 @@ class ExperimentSpec:
             payload["constraints"] = constraints_to_dict(self.constraints)
         if self.sweep is not None:
             payload["sweep"] = self.sweep.to_dict()
-        if self.engine != "des":
-            payload["engine"] = self.engine
         if self.copy_semantics is not None:
             payload["copy_semantics"] = self.copy_semantics
         return payload
@@ -262,7 +272,7 @@ class ExperimentSpec:
             num_runs=payload.get("num_runs"),
             constraints=constraints,
             sweep=sweep,
-            engine=payload.get("engine", "des"),
+            engine=payload.get("engine"),
             copy_semantics=payload.get("copy_semantics"),
         )
 

@@ -214,18 +214,33 @@ def aggregate_leaderboard(entries) -> List[Dict[str, object]]:
     """
     pools: Dict[str, Dict[str, float]] = {}
     for entry in entries:
-        if not entry.get("decodable"):
-            continue
-        pool = pools.setdefault(str(entry.get("protocol")), {
-            "jobs": 0, "messages": 0, "delivered": 0,
-            "copies": 0, "delay_sum": 0.0})
-        pool["jobs"] += 1
-        pool["messages"] += entry.get("messages", 0)
-        pool["delivered"] += entry.get("delivered", 0)
-        pool["copies"] += entry.get("copies", 0)
-        pool["delay_sum"] += entry.get("delay_sum", 0.0)
+        fold_entry(pools, entry)
+    return rank_pools(pools)
+
+
+def fold_entry(pools: Dict[str, Dict[str, float]], entry: Dict[str, object],
+               sign: int = 1) -> None:
+    """Fold one decodable entry into (``sign=-1``: out of) its protocol's
+    pool of job, message, delivery and copy counts and delay sum."""
+    if not entry.get("decodable"):
+        return
+    pool = pools.setdefault(str(entry.get("protocol")), {
+        "jobs": 0, "messages": 0, "delivered": 0,
+        "copies": 0, "delay_sum": 0.0})
+    pool["jobs"] += sign
+    pool["messages"] += sign * int(entry.get("messages", 0))
+    pool["delivered"] += sign * int(entry.get("delivered", 0))
+    pool["copies"] += sign * int(entry.get("copies", 0))
+    pool["delay_sum"] += sign * float(entry.get("delay_sum", 0.0))
+
+
+def rank_pools(pools: Dict[str, Dict[str, float]]) -> List[Dict[str, object]]:
+    """The leaderboard rows of per-protocol pools (those holding jobs),
+    ranked by success rate, then mean delay, then protocol name."""
     rows = []
     for protocol, pool in pools.items():
+        if pool["jobs"] <= 0:
+            continue
         messages = int(pool["messages"])
         delivered = int(pool["delivered"])
         rows.append({

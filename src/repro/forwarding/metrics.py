@@ -6,6 +6,8 @@ messages delivered before the end of the window) and the *average delay*
 
 * :class:`PerformanceSummary` — (success rate, mean delay, delay percentiles)
   of one algorithm on one dataset;
+* :func:`leaderboard_rows` — per-protocol summaries ranked into the
+  leaderboard rows the tournament and the live feed print;
 * :func:`delay_distribution` — the full delay CDF (Figure 10);
 * :func:`summarize_by_pair_type` — metrics broken down by in/out pair type
   (Figure 13);
@@ -17,6 +19,7 @@ messages delivered before the end of the window) and the *average delay*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,6 +33,7 @@ from .simulator import DeliveryOutcome, ForwardingSimulator, SimulationResult
 __all__ = [
     "PerformanceSummary",
     "summarize",
+    "leaderboard_rows",
     "delay_distribution",
     "summarize_by_pair_type",
     "compare_algorithms",
@@ -154,6 +158,51 @@ def summarize(result: SimulationResult) -> PerformanceSummary:
         copies_sent=result.copies_sent,
         **_fault_counters(result),
     )
+
+
+def leaderboard_rows(summaries: Mapping[str, PerformanceSummary],
+                     **leading) -> List[Dict[str, object]]:
+    """Rank per-protocol summaries into leaderboard rows.
+
+    The ranking is success rate (descending), then median delay, then
+    copies per delivery (ascending): deliver the most, fast, cheap.  It
+    sorts on the unrounded values and rounds only the emitted columns, so
+    two protocols that differ beyond the printed precision never tie.
+    *leading* columns (e.g. the tournament's ``scenarios`` count) follow
+    the protocol name; fault-cost columns appear when the counters are
+    known.
+    """
+    def rank_key(item):
+        summary = item[1]
+        overhead = summary.copies_per_delivery
+        return (-summary.success_rate,
+                inf if summary.median_delay is None else summary.median_delay,
+                inf if overhead is None else overhead)
+
+    rows = []
+    for position, (protocol, summary) in enumerate(
+            sorted(summaries.items(), key=rank_key), start=1):
+        overhead = summary.copies_per_delivery
+        row: Dict[str, object] = {
+            "rank": position,
+            "protocol": protocol,
+            **leading,
+            "messages": summary.num_messages,
+            "delivered": summary.num_delivered,
+            "success_rate": round(summary.success_rate, 3),
+            "median_delay_s": (None if summary.median_delay is None
+                               else round(summary.median_delay, 1)),
+            "p90_delay_s": (None if summary.p90_delay is None
+                            else round(summary.p90_delay, 1)),
+            "copies/delivery": (None if overhead is None
+                                else round(overhead, 2)),
+        }
+        if summary.lost_transfers is not None:
+            row["lost"] = summary.lost_transfers
+            row["retx"] = summary.retransmissions
+            row["crashes"] = summary.node_crashes
+        rows.append(row)
+    return rows
 
 
 def delay_distribution(

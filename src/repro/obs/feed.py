@@ -161,36 +161,10 @@ class LiveLeaderboard:
 
     def rows(self) -> List[Dict[str, object]]:
         """Current standings, ranked like the tournament leaderboard."""
-        unranked = []
-        for name, stream in self._streams.items():
-            summary = stream.summary()
-            overhead = summary.copies_per_delivery
-            row: Dict[str, object] = {
-                "protocol": name,
-                "messages": summary.num_messages,
-                "delivered": summary.num_delivered,
-                "success_rate": round(summary.success_rate, 3),
-                "median_delay_s": (None if summary.median_delay is None
-                                   else round(summary.median_delay, 1)),
-                "p90_delay_s": (None if summary.p90_delay is None
-                                else round(summary.p90_delay, 1)),
-                "copies/delivery": (None if overhead is None
-                                    else round(overhead, 2)),
-            }
-            if summary.lost_transfers is not None:
-                row["lost"] = summary.lost_transfers
-                row["retx"] = summary.retransmissions
-                row["crashes"] = summary.node_crashes
-            unranked.append(row)
-        unranked.sort(key=lambda row: (
-            -row["success_rate"],
-            row["median_delay_s"] if row["median_delay_s"] is not None
-            else float("inf"),
-            row["copies/delivery"] if row["copies/delivery"] is not None
-            else float("inf"),
-        ))
-        return [{"rank": position + 1, **row}
-                for position, row in enumerate(unranked)]
+        from ..forwarding.metrics import leaderboard_rows
+
+        return leaderboard_rows({name: stream.summary()
+                                 for name, stream in self._streams.items()})
 
     def table(self) -> str:
         """The current standings as an aligned text table."""

@@ -21,7 +21,6 @@ import time
 from typing import List
 
 from ..analysis.tables import format_table
-from ..exp.spec import ENGINES
 from .registry import protocol_by_name, protocol_catalogue, protocol_names
 
 __all__ = ["add_routing_commands", "dispatch_routing_command"]
@@ -66,10 +65,6 @@ def add_routing_commands(commands: argparse._SubParsersAction) -> None:
     tournament.add_argument("--runs", type=int, default=None,
                             help="override each scenario's number of "
                                  "workload runs")
-    tournament.add_argument("--engine", choices=ENGINES, default=None,
-                            help="simulation kernel (default: des; 'vector' "
-                                 "is the array-native kernel for city-scale "
-                                 "scenarios)")
     tournament.add_argument("--parallel", action="store_true",
                             help="fan each scenario cell over a process pool")
     tournament.add_argument("--workers", type=int, default=None)
@@ -225,7 +220,7 @@ def _cmd_routing_tournament(args: argparse.Namespace, write_json) -> int:
     result = run_tournament(protocols=protocols, scenarios=scenarios,
                             seeds=seeds, num_runs=args.runs,
                             parallel=args.parallel, n_workers=args.workers,
-                            obs=obs, progress=progress, engine=args.engine)
+                            obs=obs, progress=progress)
     elapsed = time.perf_counter() - started
     print(f"tournament: {len(result.protocols)} protocols × "
           f"{len(result.scenarios)} scenarios × {len(result.seeds)} seed(s)")

@@ -69,41 +69,17 @@ class TournamentResult:
         delays via :meth:`~repro.forwarding.metrics.PerformanceSummary.
         from_delays` — the same batch computation every other report uses.
         Fault-cost columns (``lost``, ``retx``, ``crashes``) come from the
-        summed :class:`~repro.sim.engine.ResourceStats` of the cells.
+        summed :class:`~repro.sim.engine.ResourceStats` of the cells.  The
+        rows are ranked by :func:`~repro.forwarding.metrics.leaderboard_rows`,
+        the builder :class:`repro.obs.LiveLeaderboard` shares.
         """
-        from ..forwarding.metrics import summarize
+        from ..forwarding.metrics import leaderboard_rows, summarize
 
-        unranked = []
-        for protocol in self.protocols:
-            merged = merge_constrained_results(self.pooled(protocol),
-                                               validate=False)
-            summary = summarize(merged)
-            num_delivered = summary.num_delivered
-            copies = merged.copies_sent or 0
-            overhead = copies / num_delivered if num_delivered else None
-            unranked.append({
-                "protocol": protocol,
-                "scenarios": len(self.scenarios),
-                "messages": summary.num_messages,
-                "delivered": num_delivered,
-                "success_rate": round(summary.success_rate, 3),
-                "median_delay_s": (None if summary.median_delay is None
-                                   else round(summary.median_delay, 1)),
-                "p90_delay_s": (None if summary.p90_delay is None
-                                else round(summary.p90_delay, 1)),
-                "copies/delivery": (None if overhead is None
-                                    else round(overhead, 2)),
-                "lost": summary.lost_transfers,
-                "retx": summary.retransmissions,
-                "crashes": summary.node_crashes,
-            })
-        unranked.sort(key=lambda row: (
-            -row["success_rate"],
-            row["median_delay_s"] if row["median_delay_s"] is not None else float("inf"),
-            row["copies/delivery"] if row["copies/delivery"] is not None else float("inf"),
-        ))
-        return [{"rank": position + 1, **row}
-                for position, row in enumerate(unranked)]
+        return leaderboard_rows(
+            {protocol: summarize(merge_constrained_results(
+                self.pooled(protocol), validate=False))
+             for protocol in self.protocols},
+            scenarios=len(self.scenarios))
 
     def leaderboard_table(self) -> str:
         """The leaderboard as an aligned text table."""
@@ -248,7 +224,6 @@ def run_tournament(
     n_workers: Optional[int] = None,
     obs=None,
     progress=None,
-    engine: Optional[str] = None,
 ) -> TournamentResult:
     """Fan *protocols* × *scenarios* × *seeds* and collect the leaderboard.
 
@@ -260,8 +235,9 @@ def run_tournament(
     trace (where the scenario's trace is seeded) and workloads; every
     protocol within a cell sees exactly the same messages, so the
     comparison is paired.  *num_runs* and *constraints* override the
-    scenario's own values when given; *engine* selects the simulation
-    kernel (one of :data:`repro.exp.ENGINES`, default ``"des"``).  With
+    scenario's own values when given.  Every job runs on the vector kernel
+    (:class:`~repro.sim.vector.VectorSimulator`, delivery-stream-equivalent
+    to :class:`~repro.sim.engine.DesSimulator`).  With
     ``parallel=True`` the whole (scenario × seed × run × protocol) grid is
     distributed over one process pool; results are identical to a serial
     run.
@@ -293,7 +269,6 @@ def run_tournament(
         seeds=tuple(seed_list),
         num_runs=num_runs,
         constraints=constraints,
-        engine=engine or "des",
     )
     timers = None
     if obs is not None and obs.profile:

@@ -39,7 +39,6 @@ from typing import List, Optional, Sequence
 
 from ..analysis.tables import format_table
 from ..exp.cli import add_exp_commands, dispatch_exp_command
-from ..exp.spec import ENGINES
 from ..obs.cli import add_obs_commands, dispatch_obs_command
 from ..routing.cli import add_routing_commands, dispatch_routing_command
 from ..svc.cli import add_svc_commands, dispatch_svc_command
@@ -58,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "(conf_imc_ErramilliCCD07 reproduction)")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sim = commands.add_parser("sim", help="discrete-event simulation scenarios")
+    sim = commands.add_parser(
+        "sim", help="discrete-event simulation scenarios (every job runs "
+                    "on the vector kernel)")
     sim_commands = sim.add_subparsers(dest="sim_command", required=True)
 
     sim_commands.add_parser("list", help="list the registered scenarios")
@@ -73,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the scenario's number of workload runs")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario's master seed")
-    run.add_argument("--engine", choices=ENGINES, default=None,
-                     help="simulation kernel (default: des; 'vector' is the "
-                          "array-native kernel for city-scale scenarios)")
     run.add_argument("--parallel", action="store_true",
                      help="fan (run x algorithm) simulations over a process pool")
     run.add_argument("--workers", type=int, default=None,
@@ -98,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "('inf' or 'none' = unlimited)")
     sweep.add_argument("--runs", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--engine", choices=ENGINES, default=None,
-                       help="simulation kernel (default: des)")
     sweep.add_argument("--parallel", action="store_true")
     sweep.add_argument("--workers", type=int, default=None)
     sweep.add_argument("--json", metavar="PATH", default=None)
@@ -246,7 +242,7 @@ def _cmd_sim_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     result = run_scenario(scenario, num_runs=args.runs, seed=args.seed,
                           parallel=args.parallel, n_workers=args.workers,
-                          obs=obs, engine=args.engine)
+                          obs=obs)
     elapsed = time.perf_counter() - started
     print(f"scenario: {scenario.name} — {scenario.description}")
     print(f"trace: {result.trace_name}  ({result.num_nodes} nodes, "
@@ -268,7 +264,7 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     sweep = sweep_scenario(scenario, args.param, values, num_runs=args.runs,
                            seed=args.seed, parallel=args.parallel,
-                           n_workers=args.workers, engine=args.engine)
+                           n_workers=args.workers)
     elapsed = time.perf_counter() - started
     print(f"scenario: {scenario.name} — sweeping {args.param} over "
           f"{[('inf' if v is None else v) for v in values]}")

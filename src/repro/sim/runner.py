@@ -163,14 +163,14 @@ def run_scenario(
     parallel: bool = False,
     n_workers: Optional[int] = None,
     obs=None,
-    engine: Optional[str] = None,
 ) -> ScenarioRunResult:
-    """Run one scenario end to end.
+    """Run one scenario end to end on the vector kernel.
 
     *num_runs*, *seed* and *constraints* override the scenario's own values
-    when given (the CLI exposes them).  *engine* selects the simulation
-    kernel (one of :data:`repro.exp.ENGINES`; default ``"des"`` — pass
-    ``"vector"`` for the array-native kernel on city-scale scenarios).
+    when given (the CLI exposes them).  Every job runs on
+    :class:`~repro.sim.vector.VectorSimulator`, which is
+    delivery-stream-equivalent to :class:`~repro.sim.engine.DesSimulator`
+    and hands bandwidth, channel and churn runs to it.
     With ``parallel=True`` the (run × algorithm) simulations are
     distributed over a process pool; results are identical to a serial
     run.  *obs* (a :class:`repro.obs.ObsConfig`) enables per-job JSONL
@@ -195,8 +195,7 @@ def run_scenario(
     messages_per_run = [spec.build_messages(trace, run_index)
                         for run_index in range(spec.num_runs)]
     plan = build_plan(ExperimentSpec(name=f"scenario:{spec.name}",
-                                     scenarios=(spec,),
-                                     engine=engine or "des"))
+                                     scenarios=(spec,)))
     _warm_caches(plan, trace, messages_per_run)
     executed = execute_plan(plan, parallel=parallel, n_workers=n_workers,
                             obs=obs)
@@ -261,14 +260,12 @@ def sweep_scenario(
     seed: Optional[int] = None,
     parallel: bool = False,
     n_workers: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> SweepResult:
     """Grid one constraint axis of a scenario.
 
     *parameter* is one of :data:`SWEEPABLE_PARAMETERS`; a value of ``None``
     means "unlimited" for that point.  Every grid point sees exactly the
     same trace and workloads, so the comparison is paired along the axis.
-    *engine* selects the simulation kernel as in :func:`run_scenario`.
     """
     from ..exp.orchestrator import execute_plan
     from ..exp.plan import build_plan, reject_flat_ttl_sweep
@@ -298,8 +295,7 @@ def sweep_scenario(
     plan = build_plan(ExperimentSpec(
         name=f"sweep:{spec.name}:{parameter}",
         scenarios=(spec,),
-        sweep=SweepAxis(parameter=parameter, values=tuple(values)),
-        engine=engine or "des"),
+        sweep=SweepAxis(parameter=parameter, values=tuple(values))),
         check_flat_ttl_sweep=False)
     _warm_caches(plan, trace, messages_per_run)
     executed = execute_plan(plan, parallel=parallel, n_workers=n_workers)

@@ -188,8 +188,8 @@ register_scenario(Scenario(
     name="rwp-city-10k",
     description="10000-node random-waypoint city (3.5 km square, 20 m "
                 "radio, 90 minutes) with an early message burst: the "
-                "engine=\"vector\" headline scale — run it with the vector "
-                "engine; the DES engine needs minutes here",
+                "vector kernel's headline scale (DesSimulator needs minutes "
+                "here)",
     trace=GridRandomWaypointTraceSpec(num_nodes=10000, duration=5400.0,
                                       step=30.0, width=3500.0, height=3500.0,
                                       radio_range=20.0, name="rwp-city-10k"),

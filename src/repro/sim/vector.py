@@ -1,4 +1,4 @@
-"""The array-native vector DES kernel (``engine="vector"``).
+"""The array-native vector DES kernel: every experiment job runs on it.
 
 :class:`VectorSimulator` replays the same discrete-event semantics as
 :class:`repro.sim.engine.DesSimulator` — same event encoding, same guard
@@ -81,8 +81,8 @@ stand-ins.
 Configurations whose event set cannot be presorted — ``bandwidth``
 (transfer-completion events), an active ``channel`` (loss/retransmission)
 or active ``churn`` (crash/reboot) — are delegated wholesale to
-:class:`~repro.sim.engine.DesSimulator`, so ``engine="vector"`` is valid
-everywhere ``des`` is and trivially exact there (telemetry collected on a
+:class:`~repro.sim.engine.DesSimulator`, so the vector kernel is valid
+everywhere the DES engine is and trivially exact there (telemetry collected on a
 delegated run reports the engine that actually executed).
 """
 

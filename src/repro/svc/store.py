@@ -52,7 +52,8 @@ from ..exp.store import (
     BaseResultStore,
     ResultStore,
     _entry_matches,
-    aggregate_leaderboard,
+    fold_entry,
+    rank_pools,
     record_entry,
 )
 
@@ -303,27 +304,15 @@ class ShardedResultStore(BaseResultStore):
             return False
         self._entries[job_hash] = entry
         if previous is not None:
-            self._aggregate(previous, -1)
+            fold_entry(self._aggregates, previous, -1)
             old_key = (previous.get("protocol"), previous.get("scenario"))
             bucket = self._buckets.get(old_key)
             if bucket is not None:
                 bucket.pop(job_hash, None)
-        self._aggregate(entry, +1)
+        fold_entry(self._aggregates, entry)
         key = (entry.get("protocol"), entry.get("scenario"))
         self._buckets.setdefault(key, {})[job_hash] = entry
         return True
-
-    def _aggregate(self, entry: Dict[str, object], sign: int) -> None:
-        if not entry.get("decodable"):
-            return
-        pool = self._aggregates.setdefault(str(entry.get("protocol")), {
-            "jobs": 0, "messages": 0, "delivered": 0,
-            "copies": 0, "delay_sum": 0.0})
-        pool["jobs"] += sign
-        pool["messages"] += sign * int(entry.get("messages", 0))
-        pool["delivered"] += sign * int(entry.get("delivered", 0))
-        pool["copies"] += sign * int(entry.get("copies", 0))
-        pool["delay_sum"] += sign * float(entry.get("delay_sum", 0.0))
 
     # ------------------------------------------------------------------
     # reads
@@ -359,7 +348,7 @@ class ShardedResultStore(BaseResultStore):
         for job_hash in [h for h in self._entries
                          if self._prefix_of(h) == prefix]:
             entry = self._entries.pop(job_hash)
-            self._aggregate(entry, -1)
+            fold_entry(self._aggregates, entry, -1)
             bucket = self._buckets.get(
                 (entry.get("protocol"), entry.get("scenario")))
             if bucket is not None:
@@ -572,32 +561,7 @@ class ShardedResultStore(BaseResultStore):
         """Per-protocol standings from the incrementally maintained
         aggregate cache — never a record rescan."""
         self.load()
-        rows = []
-        for protocol, pool in self._aggregates.items():
-            if pool["jobs"] <= 0:
-                continue
-            messages = int(pool["messages"])
-            delivered = int(pool["delivered"])
-            rows.append({
-                "protocol": protocol,
-                "jobs": int(pool["jobs"]),
-                "messages": messages,
-                "delivered": delivered,
-                "success_rate": (round(delivered / messages, 6)
-                                 if messages else 0.0),
-                "mean_delay_s": (round(pool["delay_sum"] / delivered, 6)
-                                 if delivered else None),
-                "copies_per_delivery": (round(pool["copies"] / delivered, 6)
-                                        if delivered else None),
-            })
-        rows.sort(key=lambda row: (
-            -row["success_rate"],
-            row["mean_delay_s"] if row["mean_delay_s"] is not None
-            else float("inf"),
-            row["protocol"],
-        ))
-        return [{"rank": position + 1, **row}
-                for position, row in enumerate(rows)]
+        return rank_pools(self._aggregates)
 
     def summary(self) -> Dict[str, object]:
         """Store-level counters (records, shards, bytes, classification)."""

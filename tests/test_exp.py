@@ -80,6 +80,19 @@ class TestExperimentSpec:
             sweep=SweepAxis("buffer_capacity", (2.0, None)))
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
+    def test_engine_field_is_accepted_on_load_only(self, recwarn):
+        payload = {"name": "old", "scenarios": ["paper-ideal"]}
+        vector = ExperimentSpec.from_dict({**payload, "engine": "vector"})
+        assert not recwarn.list
+        for legacy in ("des", "trace"):
+            with pytest.warns(UserWarning, match="ignored") as caught:
+                spec = ExperimentSpec.from_dict({**payload, "engine": legacy})
+            assert len(caught) == 1
+            assert spec == vector
+            assert "engine" not in spec.to_dict()
+        with pytest.raises(ValueError, match="unknown engine"):
+            ExperimentSpec.from_dict({**payload, "engine": "quantum"})
+
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
         payload = {"name": "fromfile", "scenarios": ["paper-ttl-tight"],
@@ -231,11 +244,33 @@ class TestPlanner:
         rwp_plan = build_plan(rwp)
         assert rwp_plan.jobs[0].trace_key != rwp_plan.jobs[1].trace_key
 
-    def test_trace_engine_rejects_constrained_points(self):
-        spec = ExperimentSpec(name="x", scenarios=("paper-buffer-crunch",),
-                              engine="trace")
-        with pytest.raises(ValueError, match="idealized"):
-            build_plan(spec)
+    def test_legacy_trace_engine_plans_constrained_points_as_vector(self):
+        # a spec file from when 'trace' was selectable loads with one
+        # warning and plans the same (constrained) jobs as a spec without
+        # the field: every job runs on the vector kernel
+        with pytest.warns(UserWarning, match="ignored") as caught:
+            legacy = ExperimentSpec(name="x",
+                                    scenarios=("paper-buffer-crunch",),
+                                    engine="trace")
+        assert len(caught) == 1
+        current = ExperimentSpec(name="x", scenarios=("paper-buffer-crunch",))
+        assert legacy == current
+        assert build_plan(legacy).job_hashes() == \
+            build_plan(current).job_hashes()
+
+    def test_vector_job_hashes_keep_their_store_keys(self):
+        # keys written when the kernel was a per-spec choice stay valid
+        # for engine="vector" runs: literal hashes from that build
+        spec = ExperimentSpec(
+            name="pin", scenarios=("paper-ideal", "rwp-courtyard"),
+            protocols=("Epidemic", "PRoPHET"), seeds=(7,), engine="vector")
+        expected = ["7632085ebdad27f0", "3c6c4ebc59937d2e",
+                    "10bebd05a2fc3b78", "231a080f6a59ecd8"]
+        assert build_plan(spec).job_hashes() == expected
+        unnamed = ExperimentSpec(
+            name="pin", scenarios=("paper-ideal", "rwp-courtyard"),
+            protocols=("Epidemic", "PRoPHET"), seeds=(7,))
+        assert build_plan(unnamed).job_hashes() == expected
 
     def test_unknown_names_fail_before_any_simulation(self):
         # eagerly, at spec construction — not at plan or run time
@@ -278,6 +313,7 @@ class TestRunRecords:
         assert record["scenario"] == "paper-ttl-tight"
         assert record["protocol"] == "Epidemic"
         assert record["seed"] == 7
+        assert record["engine"] == "vector"
         assert record["sweep"] is None
 
     def test_unknown_schema_is_refused(self):

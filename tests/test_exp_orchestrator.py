@@ -170,18 +170,44 @@ class TestDeterminism:
             assert cached.result_for(job) == naive.result_for(job)
 
     def test_trace_engine_matches_des_when_unconstrained(self):
-        des = run_experiment(ExperimentSpec(
-            name="ideal-des", scenarios=("paper-ideal",),
+        """An unconstrained experiment job (vector kernel) equals both the
+        trace-driven simulator and the DES engine run directly."""
+        from repro.forwarding import ForwardingSimulator
+        from repro.routing.registry import protocol_by_name
+        from repro.sim import DesSimulator
+
+        result = run_experiment(ExperimentSpec(
+            name="ideal", scenarios=("paper-ideal",),
             protocols=("Epidemic",), seeds=(7,)))
-        trace = run_experiment(ExperimentSpec(
-            name="ideal-trace", scenarios=("paper-ideal",),
-            protocols=("Epidemic",), seeds=(7,), engine="trace"))
-        a = des.result_for(des.plan.jobs[0])
-        b = trace.result_for(trace.plan.jobs[0])
-        assert a.outcomes == b.outcomes
-        assert a.copies_sent == b.copies_sent
-        # different engines are different jobs in the store
-        assert des.plan.jobs[0].job_hash != trace.plan.jobs[0].job_hash
+        job = result.plan.jobs[0]
+        got = result.result_for(job)
+        trace = job.scenario.build_trace()
+        messages = job.scenario.build_messages(trace, job.run_index)
+        ideal = ForwardingSimulator(
+            trace, protocol_by_name("Epidemic"),
+            copy_semantics=job.scenario.copy_semantics).run(messages)
+        des = DesSimulator(trace, protocol_by_name("Epidemic"),
+                           constraints=job.scenario.constraints,
+                           copy_semantics=job.scenario.copy_semantics,
+                           seed=job.scenario.seed).run(messages)
+        assert got.outcomes == ideal.outcomes == des.outcomes
+        assert got.copies_sent == ideal.copies_sent == des.copies_sent
+        assert got.stats == des.stats
+
+    def test_legacy_des_spec_runs_on_the_vector_kernel(self, tmp_path):
+        payload = {"name": "old", "scenarios": ["paper-ideal"],
+                   "protocols": ["Epidemic"], "seeds": [7], "engine": "des"}
+        with pytest.warns(UserWarning, match="ignored") as caught:
+            spec = ExperimentSpec.from_dict(payload)
+        assert len(caught) == 1
+        from repro.obs.telemetry import ObsConfig
+
+        store = tmp_path / "results"
+        result = run_experiment(spec, store=store, obs=ObsConfig(
+            metrics_path=str(tmp_path / "metrics.json")))
+        job = result.plan.jobs[0]
+        assert result.result_for(job).telemetry["engine"] == "vector"
+        assert ResultStore(store).get(job.job_hash)["engine"] == "vector"
 
 
 class _PlainWorkload:

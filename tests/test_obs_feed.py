@@ -267,6 +267,42 @@ class TestLiveLeaderboard:
         assert ranked == ["strong", "slow", "weak"]
         assert [row["rank"] for row in board.rows()] == [1, 2, 3]
 
+    def test_both_leaderboards_rank_on_unrounded_success_rates(self):
+        """0.5004 and 0.5001 both print as 0.5; the higher rate must still
+        rank first although the other protocol delivers faster."""
+        from repro.forwarding.messages import Message
+        from repro.forwarding.simulator import DeliveryOutcome
+        from repro.routing.tournament import TournamentResult
+        from repro.sim import UNCONSTRAINED, ConstrainedSimulationResult
+        from repro.sim.engine import ResourceStats
+
+        def result(name, delivered, delay, total=10000):
+            run = ConstrainedSimulationResult(
+                algorithm=name, trace_name="t", constraints=UNCONSTRAINED,
+                stats=ResourceStats(copies_sent=delivered),
+                copies_sent=delivered)
+            for index in range(total):
+                hit = index < delivered
+                run.outcomes.append(DeliveryOutcome(
+                    message=Message(id=index, source=0, destination=1,
+                                    creation_time=0.0),
+                    delivered=hit, delivery_time=delay if hit else None,
+                    hop_count=1 if hit else 0))
+            return run
+
+        cells = {"higher": result("higher", 5004, delay=90.0),
+                 "faster": result("faster", 5001, delay=10.0)}
+        tournament = TournamentResult(
+            protocols=["faster", "higher"], scenarios=["s"], seeds=[1],
+            num_runs=1,
+            cells={(name, "s", 1): run for name, run in cells.items()})
+        board = LiveLeaderboard()
+        for name in ("faster", "higher"):
+            board.observe(name, cells[name])
+        for rows in (tournament.leaderboard_rows(), board.rows()):
+            assert [row["protocol"] for row in rows] == ["higher", "faster"]
+            assert rows[0]["success_rate"] == rows[1]["success_rate"] == 0.5
+
 
 # ----------------------------------------------------------------------
 # interrupted observed runs

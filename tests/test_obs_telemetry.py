@@ -195,7 +195,7 @@ class TestOrchestratorIntegration:
         for run in metrics["engine_runs"]:
             assert run["job_hash"] in hashes
             assert run["events"] > 0
-            assert run["engine"] == "des"
+            assert run["engine"] == "vector"
         totals = metrics["engine_totals"]
         assert totals["events"] == sum(run["events"]
                                        for run in metrics["engine_runs"])

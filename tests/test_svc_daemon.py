@@ -201,6 +201,35 @@ class TestJournalRecovery:
         assert daemon.jobs_executed == 4
         assert len(ShardedResultStore(tmp_path / "store")) == 4
 
+    def test_journaled_des_spec_replays_on_the_vector_kernel(self, tmp_path):
+        # a journal line written when the kernel was a per-spec choice
+        # still recovers: the engine field warns once and is ignored
+        crashed = ExperimentDaemon(tmp_path / "store")
+        crashed.submit(SPEC)
+        journal = crashed.root / SUBMISSIONS_FILENAME
+        line = json.loads(journal.read_text(encoding="utf-8"))
+        line["spec"]["engine"] = "des"
+        journal.write_text(json.dumps(line) + "\n", encoding="utf-8")
+
+        async def second_life():
+            daemon = ExperimentDaemon(tmp_path / "store")
+            with pytest.warns(UserWarning, match="ignored") as caught:
+                report = await daemon.start(recover=True)
+            assert len(caught) == 1
+            assert report["requeued"] == 1
+            assert await settle(daemon, "sub-000001") == "done"
+            await daemon.drain()
+            return daemon
+
+        daemon = asyncio.run(second_life())
+        assert daemon.jobs_executed == 4
+        store = ShardedResultStore(tmp_path / "store")
+        assert [entry["job_hash"] for entry in store.query_entries()] == \
+            sorted(set(job.job_hash for job in
+                       daemon.submissions["sub-000001"].plan.jobs))
+        assert all(store.get(entry["job_hash"])["engine"] == "vector"
+                   for entry in store.query_entries())
+
     def test_torn_journal_tail_is_skipped(self, tmp_path):
         daemon = ExperimentDaemon(tmp_path / "store")
         daemon.submit(SPEC)

@@ -1,6 +1,7 @@
 """Engine equivalence: the vector kernel vs the DES engine.
 
-``engine="vector"`` promises *delivery-stream equivalence*: the same
+Every experiment job runs on the vector kernel, which promises
+*delivery-stream equivalence*: the same
 delivery set, the same delivery times, the same hop counts, the same copy
 counts and the same resource-stat counters as :class:`repro.sim.
 DesSimulator` on identical inputs.  This suite enforces that on all four
@@ -32,7 +33,9 @@ from repro.sim import (
     ResourceConstraints,
     UNCONSTRAINED,
     VectorSimulator,
+    get_scenario,
     run_scenario,
+    scenario_names,
     simulate_vector,
 )
 from repro.sim.faults import ChannelSpec
@@ -276,14 +279,45 @@ def test_protocol_catalogue_reports_vector_support():
 def test_experiment_spec_rejects_unknown_engine_naming_vector():
     from repro.exp import ExperimentSpec
 
-    with pytest.raises(ValueError, match="des, trace, vector"):
+    with pytest.raises(ValueError, match="vector kernel"):
         ExperimentSpec(name="x", scenarios=("paper-ideal",), engine="warp")
 
 
 def test_run_scenario_with_vector_engine_matches_des():
-    vector_run = run_scenario("rwp-courtyard", engine="vector")
-    des_run = run_scenario("rwp-courtyard")
-    assert vector_run.table_rows() == des_run.table_rows()
+    """``run_scenario`` runs every job on the vector kernel; each run
+    equals the DES engine replaying the same trace and workload."""
+    scenario = get_scenario("rwp-courtyard")
+    result = run_scenario(scenario)
+    trace = scenario.build_trace()
+    for run_index in range(scenario.num_runs):
+        messages = scenario.build_messages(trace, run_index)
+        for name in scenario.algorithms:
+            reference = DesSimulator(
+                trace, protocol_by_name(name),
+                constraints=scenario.constraints,
+                copy_semantics=scenario.copy_semantics,
+                seed=scenario.seed).run(messages)
+            _assert_results_equal(reference, result.results[name][run_index],
+                                  context=f"{name} run {run_index}")
+
+
+@pytest.mark.parametrize("scenario_name", [
+    name for name in scenario_names() if not name.startswith("rwp-city")])
+def test_vector_equals_des_across_the_catalogue(scenario_name):
+    """Every experiment job runs on the vector kernel: on every non-city
+    catalogue scenario (constraints, channel and churn included) it must
+    equal the DES engine for every registered protocol."""
+    scenario = get_scenario(scenario_name)
+    trace = scenario.build_trace()
+    messages = scenario.build_messages(trace, 0)
+    assert messages, "workload must not be empty for the test to mean anything"
+    for protocol_name in protocol_names():
+        reference, candidate = _run_both(
+            trace, messages, protocol_name,
+            constraints=scenario.constraints,
+            copy_semantics=scenario.copy_semantics, seed=scenario.seed)
+        _assert_results_equal(reference, candidate,
+                              context=f"{scenario_name} {protocol_name}")
 
 
 def test_simulate_vector_one_shot_wrapper():
