@@ -38,11 +38,11 @@ for path in (_HERE, _HERE.parent / "src"):
 
 from repro.exp import ExperimentSpec, SweepAxis, build_plan  # noqa: E402
 from repro.exp.orchestrator import execute_plan, run_experiment  # noqa: E402
-from repro.exp.store import ResultStore  # noqa: E402
 from repro.routing.registry import protocol_by_name  # noqa: E402
 from repro.sim import Scenario, VectorSimulator, get_scenario  # noqa: E402
 from repro.sim.runner import run_scenario  # noqa: E402
 from repro.sim.scenarios import RandomWaypointTraceSpec  # noqa: E402
+from repro.svc.store import open_store  # noqa: E402
 from repro.forwarding.messages import PoissonMessageWorkload  # noqa: E402
 
 DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_exp.json"
@@ -125,7 +125,7 @@ def _bench_trace_cache(spec: ExperimentSpec, repeats: int) -> dict:
 
 def _bench_store_resume(spec: ExperimentSpec, repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as root:
-        store = ResultStore(Path(root) / "results")
+        store = open_store(Path(root) / "results")
         first = run_experiment(spec, store=store)
         resumed_s = _median_time(
             lambda: run_experiment(spec, store=store), repeats)

@@ -5,7 +5,7 @@ constraint axis × seeds × runs) flows through one pipeline, every job on
 the vector kernel::
 
     spec  →  planner (content-hashed jobs)  →  shared worker pool
-          →  persistent JSONL result store  →  pooled reports
+          →  persistent result store (repro.svc.store)  →  pooled reports
 
 Every entrypoint routes through this layer: :func:`repro.sim.run_scenario`,
 :func:`repro.sim.sweep_scenario` and :func:`repro.routing.run_tournament`
@@ -39,7 +39,6 @@ _EXPORTS = {
     "JobFailure": ".executor",
     "JobTimeout": ".executor",
     "resilient_map": ".executor",
-    "ResultStore": ".store",
     "DEFAULT_STORE_ROOT": ".store",
     "ExecutionOutcome": ".orchestrator",
     "ExperimentResult": ".orchestrator",
@@ -74,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         encode_record,
     )
     from .spec import ExperimentSpec, SweepAxis
-    from .store import DEFAULT_STORE_ROOT, ResultStore
+    from .store import DEFAULT_STORE_ROOT
 
 
 def __getattr__(name: str):

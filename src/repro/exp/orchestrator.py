@@ -29,6 +29,7 @@ from ..obs.tracing import JsonlTracer
 from ..routing.registry import protocol_by_name
 from ..sim.engine import ConstrainedSimulationResult
 from ..sim.vector import VectorSimulator
+from ..svc.store import ShardedResultStore, open_store
 from .executor import FaultPolicy, JobFailure, resilient_map
 from .plan import ExperimentPlan, PlannedJob, build_plan
 from .pool import process_map
@@ -40,7 +41,6 @@ from .records import (
     is_failure_record,
 )
 from .spec import ExperimentSpec
-from .store import BaseResultStore, ResultStore
 
 __all__ = [
     "ExecutionOutcome",
@@ -123,7 +123,7 @@ class ExecutionOutcome:
 
 def execute_plan(
     plan: ExperimentPlan,
-    store: Optional[ResultStore] = None,
+    store: Optional[ShardedResultStore] = None,
     parallel: bool = False,
     n_workers: Optional[int] = None,
     resume: bool = True,
@@ -390,20 +390,16 @@ class ExperimentResult:
 
 
 def _resolve_store(
-    store: Union["BaseResultStore", str, None],
-) -> Optional["BaseResultStore"]:
-    if store is None or isinstance(store, BaseResultStore):
+    store: Union[ShardedResultStore, str, None],
+) -> Optional[ShardedResultStore]:
+    if store is None or isinstance(store, ShardedResultStore):
         return store
-    # a path: auto-detect the layout so `--store DIR` works against both
-    # flat and sharded (repro.svc) stores
-    from ..svc.store import open_store
-
     return open_store(store)
 
 
 def run_experiment(
     spec: ExperimentSpec,
-    store: Union[ResultStore, str, None] = None,
+    store: Union[ShardedResultStore, str, None] = None,
     parallel: bool = False,
     n_workers: Optional[int] = None,
     resume: bool = True,
@@ -416,10 +412,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Plan and execute *spec*, resuming from *store* when given.
 
-    *store* may be a :class:`ResultStore`, a directory path, or ``None``
-    for a purely in-memory run.  With ``resume=False`` stored records are
-    ignored (every job re-runs and re-appends; the store's last-write-wins
-    index keeps that consistent).  Pass a prebuilt *plan* to skip
+    *store* may be an opened :class:`repro.svc.store.ShardedResultStore`,
+    a directory path (a legacy flat root there migrates on first load), or
+    ``None`` for a purely in-memory run.  With ``resume=False`` stored
+    records are ignored (every job re-runs and re-appends; the store's
+    last-write-wins index keeps that consistent).  Pass a prebuilt *plan* to skip
     re-planning (the CLI plans first so spec errors get friendly messages).
     *policy* / *retry_failed* select the fault-tolerant executor; see
     :func:`execute_plan`.
@@ -508,7 +505,7 @@ def _metrics_payload(result: ExperimentResult,
 
 def experiment_status(
     spec: ExperimentSpec,
-    store: Union[ResultStore, str, None] = None,
+    store: Union[ShardedResultStore, str, None] = None,
 ) -> Dict[str, object]:
     """How much of *spec* the store already answers, without running it.
 

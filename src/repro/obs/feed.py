@@ -4,9 +4,9 @@
 rescanning the whole JSONL store on every poll: the plan is built once,
 every planned job hash is classified once from a single pass over the
 store index, and subsequent :meth:`~StatusTracker.refresh` calls parse
-only the bytes appended since the previous poll (via
-:meth:`repro.exp.store.ResultStore.refresh`).  ``exp status`` is a
-one-shot refresh; ``exp watch`` polls it in a loop.
+only the index bytes appended since the previous poll (via
+:meth:`repro.svc.store.ShardedResultStore.refresh_entries`).  ``exp
+status`` is a one-shot refresh; ``exp watch`` polls it in a loop.
 
 :class:`LiveLeaderboard` is the tournament's incremental ranking: one
 :class:`~repro.obs.streaming.StreamingSummary` per protocol, updated as
@@ -56,9 +56,8 @@ class StatusTracker:
     def _classify(self, job_hash: str,
                   entry: Optional[Dict[str, object]]) -> None:
         # classification consumes the store's lightweight entry view
-        # (repro.exp.store.record_entry), which both the flat store (from
-        # its in-memory index) and the sharded store (straight from index
-        # lines, no record body reads) provide
+        # (repro.exp.store.record_entry), read straight from index lines
+        # with no record body reads
         if entry is not None and entry.get("decodable"):
             self._classified[job_hash] = "done"
             self._failure_info.pop(job_hash, None)
@@ -131,7 +130,7 @@ class StatusTracker:
             "pending": total - done - failed,
             "scenarios": per_scenario,
             "failures": failure_rows,
-            "store": None if self.store is None else str(self.store.path),
+            "store": None if self.store is None else str(self.store.root),
         }
 
     @property

@@ -240,11 +240,11 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Dict[str, object]]:
     """Stream a JSONL trace file one event dict at a time.
 
     The file is never materialized, so arbitrarily long traces analyze in
-    constant memory.  The error contract matches
-    :meth:`repro.exp.store.ResultStore.refresh`: a half-written **final**
-    line (a tracer killed mid-write) is silently ignored, while a corrupt
-    line *followed by* valid ones — real damage, not an interrupted append
-    — is skipped with a warning naming the line.
+    constant memory.  The error contract matches the result store's
+    (:mod:`repro.svc.store`): a half-written **final** line (a tracer
+    killed mid-write) is silently ignored, while a corrupt line *followed
+    by* valid ones — real damage, not an interrupted append — is skipped
+    with a warning naming the line.
     """
     path = Path(path)
     pending: List[int] = []  # bad line numbers awaiting a later good line

@@ -8,10 +8,10 @@ store, fault-tolerant executor) into a long-running service::
                           ▼         ▼
                        client   sharded result store
 
-* :mod:`repro.svc.store` — :class:`ShardedResultStore`: JSONL records
-  fanned out by job-hash prefix with per-shard offset indexes and
-  incrementally maintained leaderboard aggregates, plus flat-store
-  migration and shard compaction;
+* :mod:`repro.svc.store` — :class:`ShardedResultStore`, the one result
+  store: JSONL records fanned out by job-hash prefix with per-shard
+  offset indexes and incrementally maintained leaderboard aggregates,
+  plus in-place migration of legacy flat roots and shard compaction;
 * :mod:`repro.svc.daemon` — :class:`ExperimentDaemon`: an asyncio job
   scheduler with content-hash dedupe across submissions, priorities,
   cancellation, graceful SIGTERM drain and crash recovery by replaying
@@ -35,7 +35,6 @@ _EXPORTS = {
     "open_store": ".store",
     "create_store": ".store",
     "migrate_store": ".store",
-    "is_sharded_root": ".store",
     "encode_index_line": ".store",
     "decode_index_line": ".store",
     "INDEX_SCHEMA": ".store",
@@ -60,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         create_store,
         decode_index_line,
         encode_index_line,
-        is_sharded_root,
         migrate_store,
         open_store,
     )

@@ -16,8 +16,9 @@ drains.  The client commands find the daemon through ``--url``, or by
 reading the ``svc.json`` endpoint file ``serve`` drops into its store
 root (``--store`` names where to look).  ``query`` and ``leaderboard``
 also work *offline* — given ``--store`` without a reachable daemon they
-open the store directly, so a sharded store is queryable with no service
-running.
+open the store directly, so a store is queryable with no service running.
+Every ``--store DIR`` migrates a legacy flat root in place on first open;
+``migrate`` copies one into another directory instead.
 """
 
 from __future__ import annotations
@@ -113,9 +114,12 @@ def add_svc_commands(commands: argparse._SubParsersAction) -> None:
 
     migrate = svc_commands.add_parser(
         "migrate",
-        help="copy a flat JSONL store into the sharded layout")
+        help="copy a legacy flat JSONL store into a store elsewhere, "
+             "leaving the source untouched (opening a flat root with "
+             "--store migrates it in place)")
     migrate.add_argument("source", help="flat store root (records.jsonl)")
-    migrate.add_argument("destination", help="sharded store root to create")
+    migrate.add_argument("destination", help="store root to create or "
+                                             "extend")
     migrate.add_argument("--shard-width", type=int, default=None,
                          help="hash-prefix length naming each shard "
                               "(default: 2 -> up to 256 shards)")
@@ -123,7 +127,8 @@ def add_svc_commands(commands: argparse._SubParsersAction) -> None:
     compact = svc_commands.add_parser(
         "compact", parents=[store_arg],
         help="rewrite shards dropping superseded records "
-             "(query results are preserved byte for byte)")
+             "(query results are preserved byte for byte; a legacy flat "
+             "root is migrated first)")
 
 
 def _resolve_url(args: argparse.Namespace) -> Optional[str]:
@@ -312,14 +317,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    from .store import ShardedResultStore, is_sharded_root
-
-    if not is_sharded_root(args.store):
-        raise SystemExit(
-            f"{args.store} is not a sharded store; `svc migrate` it first "
-            f"(flat stores already keep one line per surviving record only "
-            f"at load, compaction applies to shards)")
-    report = ShardedResultStore(args.store).compact()
+    report = _open_store_or_exit(args.store).compact()
     print(f"compacted {args.store}: kept {report['records_kept']}, "
           f"dropped {report['records_dropped']} superseded, "
           f"{report['bytes_before']} -> {report['bytes_after']} bytes")

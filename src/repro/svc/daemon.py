@@ -35,8 +35,7 @@ from ..exp.executor import FaultPolicy
 from ..exp.orchestrator import execute_plan
 from ..exp.plan import ExperimentPlan, build_plan
 from ..exp.spec import ExperimentSpec
-from ..exp.store import BaseResultStore
-from .store import create_store, open_store
+from .store import ShardedResultStore, create_store, open_store
 
 __all__ = ["ExperimentDaemon", "Submission", "SUBMISSIONS_FILENAME"]
 
@@ -100,9 +99,10 @@ class ExperimentDaemon:
     Parameters
     ----------
     store:
-        Store root path or an opened :class:`BaseResultStore`.  A fresh
-        root is created *sharded* (:func:`repro.svc.create_store`) — the
-        layout built for service-scale record counts.
+        Store root path or an opened :class:`ShardedResultStore`.  A
+        fresh root gets its layout written up front
+        (:func:`repro.svc.create_store`); a legacy flat root migrates in
+        place on first load.
     parallel / n_workers / policy:
         Passed through to :func:`repro.exp.execute_plan` per chunk.  The
         default policy quarantines failing jobs (1 attempt) instead of
@@ -112,12 +112,12 @@ class ExperimentDaemon:
         chunk boundaries, so this bounds their latency.
     """
 
-    def __init__(self, store: Union[str, Path, BaseResultStore],
+    def __init__(self, store: Union[str, Path, ShardedResultStore],
                  parallel: bool = False,
                  n_workers: Optional[int] = None,
                  policy: Optional[FaultPolicy] = None,
                  chunk_size: int = 16) -> None:
-        if isinstance(store, BaseResultStore):
+        if isinstance(store, ShardedResultStore):
             self.store = store
         else:
             self.store = create_store(store)

@@ -1,14 +1,14 @@
-"""The sharded result store: job-hash-prefix shards + offset indexes.
+"""The result store: job-hash-prefix shards + offset indexes.
 
-A flat :class:`repro.exp.ResultStore` re-parses every record line to
-answer anything, which stops scaling somewhere around 10^5 RunRecords.
-:class:`ShardedResultStore` keeps the same append-only JSONL durability
-contract but fans records out by job-hash prefix::
+:class:`ShardedResultStore` is the one ``job_hash -> RunRecord`` store
+behind every ``--store DIR``: ``exp run|resume|status|watch``, the svc
+daemon, its HTTP API and the offline ``svc query|leaderboard|compact``.
+Records are append-only canonical JSON lines, fanned out by job-hash
+prefix::
 
     <root>/store.json                   # layout metadata (shard width)
     <root>/shards/<prefix>/records.jsonl
     <root>/shards/<prefix>/index.jsonl  # one entry line per record line
-    <root>/aggregates.json              # write-behind leaderboard cache
 
 Each ``records.jsonl`` append is followed by an ``index.jsonl`` append
 carrying the record's byte ``offset``/``length`` plus the lightweight
@@ -19,25 +19,29 @@ resume planning — is answered from index lines alone, which are an order
 of magnitude smaller than record lines; record bodies are read by
 ``seek(offset); read(length)``, never by scanning.
 
-Crash safety mirrors the flat store: record appends are single unbuffered
-``O_APPEND`` writes (concurrent writers cannot interleave inside a line,
-and POSIX appends make ``tell()`` after the write name our line's exact
-offset even under contention).  The index is *advisory*: on load, any
-record bytes past the index's coverage (a writer killed between the two
-appends, a truncated index tail) are rescanned from the records file and
-the index self-heals by appending the recovered lines.  Losing an index
-entirely costs one shard rescan, never data.
+Crash safety: appends are single unbuffered ``O_APPEND`` writes
+(concurrent writers cannot interleave inside a line, and POSIX appends
+make ``tell()`` after the write name our line's exact offset even under
+contention), and an append that finds the file ending mid-line — a writer
+killed mid-append — first closes that line.  The index is *advisory*: on
+load, any record bytes past the index's coverage (a writer killed between
+the two appends, a torn index tail) are rescanned from the records file
+and the index self-heals by appending the recovered lines; a damaged
+interior index line makes its shard rebuild the index from the records
+file once.  Losing an index entirely costs one shard rescan, never data.
 
-Leaderboard/summary aggregates are maintained incrementally — every
-append folds the new entry in (and unfolds the entry it supersedes) —
-and persisted write-behind to ``aggregates.json``; they are never rebuilt
-by re-reading record bodies.
+Leaderboard aggregates are maintained in memory as entries are absorbed —
+every append folds the new entry in (and unfolds the entry it
+supersedes) — and never rebuilt by re-reading record bodies.  Every put
+is durable when it returns; nothing is written behind.
 
-:func:`open_store` auto-detects the layout at a root so every existing
-``--store DIR`` code path (``exp run``, ``exp status``, the daemon)
-transparently works against either format; :func:`migrate_store` converts
-a flat store, and :meth:`ShardedResultStore.compact` rewrites shards
-dropping superseded records while preserving query results byte for byte.
+A legacy flat root (a single ``<root>/records.jsonl``, the layout older
+versions wrote) is migrated in place the first time a handle loads it:
+its records are appended to the shards and the file is renamed to
+``records.jsonl.migrated``.  :func:`migrate_store` runs the same
+migration into another directory, leaving the source untouched, and
+:meth:`ShardedResultStore.compact` rewrites shards dropping superseded
+records while preserving query results byte for byte.
 """
 
 from __future__ import annotations
@@ -48,14 +52,7 @@ import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..exp.store import (
-    BaseResultStore,
-    ResultStore,
-    _entry_matches,
-    fold_entry,
-    rank_pools,
-    record_entry,
-)
+from ..exp.store import _entry_matches, fold_entry, rank_pools, record_entry
 
 __all__ = ["ShardedResultStore", "open_store", "create_store",
            "migrate_store", "encode_index_line", "decode_index_line",
@@ -64,8 +61,10 @@ __all__ = ["ShardedResultStore", "open_store", "create_store",
 INDEX_SCHEMA = 1
 DEFAULT_SHARD_WIDTH = 2
 STORE_META_FILENAME = "store.json"
-AGGREGATES_FILENAME = "aggregates.json"
 SHARDS_DIRNAME = "shards"
+#: the single records file of a legacy flat root, and its name once migrated
+FLAT_RECORDS_FILENAME = "records.jsonl"
+MIGRATED_FILENAME = "records.jsonl.migrated"
 STORE_FORMAT = "sharded-jsonl"
 
 #: in-memory entry key <-> compact on-disk index key
@@ -149,8 +148,10 @@ class _Shard:
         self.covered = 0
 
 
-class ShardedResultStore(BaseResultStore):
-    """Sharded, indexed ``job_hash -> RunRecord`` store (see module doc)."""
+class ShardedResultStore:
+    """The result store: sharded, indexed ``job_hash -> RunRecord``
+    mapping (see module doc).  ``root`` is the store directory, ``path``
+    its ``shards/`` directory."""
 
     def __init__(self, root: Union[str, Path],
                  shard_width: int = DEFAULT_SHARD_WIDTH) -> None:
@@ -168,7 +169,6 @@ class ShardedResultStore(BaseResultStore):
         self._buckets: Dict[Tuple[object, object], Dict[str, Dict]] = {}
         self._aggregates: Dict[str, Dict[str, float]] = {}
         self._loaded = False
-        self._dirty_puts = 0
         #: store.json generation at load time; compaction bumps it so
         #: other handles know their byte offsets are void
         self._generation = 0
@@ -209,6 +209,8 @@ class ShardedResultStore(BaseResultStore):
     # loading: index lines first, records-file tail recovery second
     # ------------------------------------------------------------------
     def load(self, refresh: bool = False) -> None:
+        """Build (or rebuild) the in-memory index, then migrate a legacy
+        flat ``records.jsonl`` at the root if there is one."""
         if self._loaded and not refresh:
             return
         self._shards = {}
@@ -222,42 +224,73 @@ class ShardedResultStore(BaseResultStore):
                 if directory.is_dir():
                     self._load_shard(self._shard(directory.name))
         self._loaded = True
+        flat = self.root / FLAT_RECORDS_FILENAME
+        if flat.exists():
+            self._migrate_flat(flat)
 
-    def _load_shard(self, shard: _Shard) -> None:
-        raw = b""
-        if shard.index_path.exists():
-            raw = shard.index_path.read_bytes()
-        consumed = 0
-        for chunk in raw.split(b"\n"):
+    def _load_shard(self, shard: _Shard) -> List[Dict[str, object]]:
+        """Absorb the shard's unread index lines, then index any record
+        bytes they do not cover; returns the entries that took effect."""
+        fresh = self._consume_index(shard)
+        if fresh is None:
+            return self._rescan_shard(shard)
+        return fresh + self._recover_tail(shard)
+
+    def _consume_index(self, shard: _Shard) \
+            -> Optional[List[Dict[str, object]]]:
+        """Absorb the index lines past ``shard.index_size``.
+
+        Returns the entries that took effect, or ``None`` when an interior
+        line is undecodable (a torn append that a later append closed, or
+        one glued onto): only the records file can say what it described.
+        A partial final line is left unconsumed — a writer may still be
+        mid-append, and a killed one's record is recovered by
+        :meth:`_recover_tail`.
+        """
+        try:
+            size = shard.index_path.stat().st_size
+        except OSError:
+            return []
+        if size <= shard.index_size:
+            return []
+        with open(shard.index_path, "rb") as handle:
+            handle.seek(shard.index_size)
+            raw = handle.read(size - shard.index_size)
+        fresh: List[Dict[str, object]] = []
+        consumed = shard.index_size
+        chunks = raw.split(b"\n")
+        for position, chunk in enumerate(chunks):
+            is_last = position == len(chunks) - 1
             if chunk.strip():
                 entry = decode_index_line(chunk)
                 if entry is None:
-                    # a killed writer leaves at most a partial final line;
-                    # anything it described is recovered from the records
-                    # file below, so just stop consuming here
-                    break
-                self._absorb(entry)
-                shard.covered = max(shard.covered,
-                                    int(entry["offset"]) +
-                                    int(entry["length"]) + 1)
-            consumed += len(chunk) + 1
-        shard.index_size = min(consumed, len(raw))
-        self._recover_tail(shard)
+                    if is_last:
+                        break  # partial tail: retried on the next read
+                    return None
+                if self._absorb(entry):
+                    self._cover(shard, entry)
+                    fresh.append(entry)
+            if not is_last:
+                consumed += len(chunk) + 1
+        shard.index_size = consumed
+        return fresh
 
-    def _recover_tail(self, shard: _Shard) -> None:
-        """Index any record bytes the index does not cover (self-heal)."""
+    def _scan_records(self, shard: _Shard,
+                      start: int) -> List[Dict[str, object]]:
+        """Index entries for the complete record lines of the shard's
+        records file from byte *start* on (a partial tail is skipped)."""
         try:
             size = shard.records_path.stat().st_size
         except OSError:
-            return
-        if size <= shard.covered:
-            return
+            return []
+        if size <= start:
+            return []
         with open(shard.records_path, "rb") as handle:
-            handle.seek(shard.covered)
-            raw = handle.read(size - shard.covered)
-        offset = shard.covered
+            handle.seek(start)
+            raw = handle.read(size - start)
+        offset = start
         chunks = raw.split(b"\n")
-        recovered: List[Dict[str, object]] = []
+        entries: List[Dict[str, object]] = []
         for position, chunk in enumerate(chunks):
             is_last = position == len(chunks) - 1
             if chunk.strip():
@@ -270,27 +303,88 @@ class ShardedResultStore(BaseResultStore):
                         f"skipping corrupt record in {shard.records_path}",
                         stacklevel=2)
                 else:
-                    job_hash = record.get("job_hash")
-                    if job_hash:
+                    if isinstance(record, dict) and record.get("job_hash"):
                         entry = record_entry(record)
                         entry["offset"] = offset
                         entry["length"] = len(chunk)
-                        recovered.append(entry)
-            if not is_last:
-                offset += len(chunk) + 1
+                        entries.append(entry)
+            offset += len(chunk) + 1
+        return entries
+
+    def _recover_tail(self, shard: _Shard) -> List[Dict[str, object]]:
+        """Index any record bytes the index does not cover (self-heal)."""
+        recovered = self._scan_records(shard, shard.covered)
         if not recovered:
+            return []
+        self._append_index(shard, recovered)
+        return self._adopt(shard, recovered)
+
+    def _rescan_shard(self, shard: _Shard) -> List[Dict[str, object]]:
+        """Rebuild the shard's index from its records file (authoritative)
+        and return the entries that are new or moved."""
+        known: Dict[str, Dict[str, object]] = {}
+        for job_hash in [h for h in self._entries
+                         if self._prefix_of(h) == shard.prefix]:
+            entry = known[job_hash] = self._entries.pop(job_hash)
+            fold_entry(self._aggregates, entry, -1)
+            bucket = self._buckets.get(
+                (entry.get("protocol"), entry.get("scenario")))
+            if bucket is not None:
+                bucket.pop(job_hash, None)
+        shard.covered = shard.index_size = 0
+        entries = self._scan_records(shard, 0)
+        if shard.directory.is_dir():
+            data = b"".join(map(encode_index_line, entries))
+            rebuilt = shard.index_path.with_suffix(".jsonl.tmp")
+            rebuilt.write_bytes(data)
+            os.replace(rebuilt, shard.index_path)
+            shard.index_size = len(data)
+        taken = self._adopt(shard, entries)
+        return [entry for entry in taken
+                if known.get(str(entry["job_hash"]), {}).get("offset")
+                != entry["offset"]]
+
+    def _adopt(self, shard: _Shard, entries: List[Dict[str, object]]) \
+            -> List[Dict[str, object]]:
+        """Absorb index *entries* this handle just wrote; return those that
+        took effect.  ``index_size`` is left alone: other writers' lines
+        may sit between it and ours, and the next refresh must read them
+        (ours then re-read as no-ops)."""
+        taken = []
+        for entry in entries:
+            if self._absorb(entry):
+                self._cover(shard, entry)
+                taken.append(entry)
+        return taken
+
+    @staticmethod
+    def _cover(shard: _Shard, entry: Dict[str, object]) -> None:
+        shard.covered = max(shard.covered,
+                            int(entry["offset"]) + int(entry["length"]) + 1)
+
+    def _migrate_flat(self, flat: Path) -> None:
+        """Move a legacy flat root's records into the shards.
+
+        The rename to ``records.jsonl.migrated`` is the commit: a crash
+        before it re-runs the migration on the next load, and a migrator
+        that loses the rename race to another treats the root as done.
+        The flat bytes are never deleted.
+        """
+        count = _fold_flat(self, flat)
+        if count is None:
             return
-        with open(shard.index_path, "ab", buffering=0) as handle:
-            for entry in recovered:
-                handle.write(encode_index_line(entry))
-                self._absorb(entry)
-                shard.covered = max(shard.covered,
-                                    int(entry["offset"]) +
-                                    int(entry["length"]) + 1)
+        target = self.root / MIGRATED_FILENAME
+        suffix = 1
+        while target.exists():  # never overwrite an earlier migration
+            target = self.root / f"{MIGRATED_FILENAME}.{suffix}"
+            suffix += 1
         try:
-            shard.index_size = shard.index_path.stat().st_size
-        except OSError:
-            pass
+            os.replace(flat, target)
+        except FileNotFoundError:
+            return
+        warnings.warn(f"migrated {count} record(s) of the flat store at "
+                      f"{self.root} into shards; the flat file is kept as "
+                      f"{target.name}", stacklevel=3)
 
     def _absorb(self, entry: Dict[str, object]) -> bool:
         """Fold one index entry into the in-memory maps (last write per
@@ -327,7 +421,7 @@ class ShardedResultStore(BaseResultStore):
             return record
         # a stale or damaged index entry: rebuild this shard from its
         # records file (authoritative) and retry once
-        self._rescan_shard(self._prefix_of(job_hash))
+        self._rescan_shard(self._shard(self._prefix_of(job_hash)))
         entry = self._entries.get(job_hash)
         return None if entry is None else self._read_body(entry)
 
@@ -341,25 +435,6 @@ class ShardedResultStore(BaseResultStore):
             return json.loads(raw.decode("utf-8"))
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
-
-    def _rescan_shard(self, prefix: str) -> None:
-        shard = self._shard(prefix)
-        # drop this shard's entries, then rebuild the index from scratch
-        for job_hash in [h for h in self._entries
-                         if self._prefix_of(h) == prefix]:
-            entry = self._entries.pop(job_hash)
-            fold_entry(self._aggregates, entry, -1)
-            bucket = self._buckets.get(
-                (entry.get("protocol"), entry.get("scenario")))
-            if bucket is not None:
-                bucket.pop(job_hash, None)
-        try:
-            shard.index_path.unlink()
-        except OSError:
-            pass
-        shard.index_size = 0
-        shard.covered = 0
-        self._recover_tail(shard)
 
     def hashes(self) -> List[str]:
         self.load()
@@ -392,6 +467,16 @@ class ShardedResultStore(BaseResultStore):
     # incremental refresh: only index bytes appended since the last poll
     # ------------------------------------------------------------------
     def refresh_entries(self) -> List[Dict[str, object]]:
+        """Entries appended since the last load/refresh; the first call
+        loads the store and returns everything.
+
+        This is the incremental read behind ``exp watch`` and the svc
+        API: only index bytes past each shard's last consumed line are
+        parsed.  A partial final index line (a writer caught mid-append)
+        is left for the next poll; a damaged interior line rebuilds its
+        shard's index from the records file; a shrunken index or a bumped
+        compaction generation triggers a full reload.
+        """
         if not self._loaded:
             self.load()
             return list(self._entries.values())
@@ -406,14 +491,9 @@ class ShardedResultStore(BaseResultStore):
         if self.path.is_dir():
             for directory in sorted(self.path.iterdir()):
                 if directory.is_dir() and directory.name not in known:
-                    before = len(self._entries)
-                    self._load_shard(self._shard(directory.name))
-                    if len(self._entries) != before:
-                        fresh.extend(
-                            entry for entry in self._entries.values()
-                            if self._prefix_of(str(entry["job_hash"]))
-                            == directory.name)
-        for shard in list(self._shards.values()):
+                    fresh.extend(self._load_shard(self._shard(directory.name)))
+        for prefix in sorted(known):
+            shard = self._shards[prefix]
             try:
                 size = shard.index_path.stat().st_size
             except OSError:
@@ -423,30 +503,10 @@ class ShardedResultStore(BaseResultStore):
                 # fall back to a full reload of everything
                 self.load(refresh=True)
                 return list(self._entries.values())
-            if size == shard.index_size:
-                continue
-            with open(shard.index_path, "rb") as handle:
-                handle.seek(shard.index_size)
-                raw = handle.read(size - shard.index_size)
-            consumed = shard.index_size
-            chunks = raw.split(b"\n")
-            for position, chunk in enumerate(chunks):
-                is_last = position == len(chunks) - 1
-                if chunk.strip():
-                    entry = decode_index_line(chunk)
-                    if entry is None:
-                        if is_last:
-                            break  # writer mid-append: retry next poll
-                    elif self._absorb(entry):
-                        shard.covered = max(shard.covered,
-                                            int(entry["offset"]) +
-                                            int(entry["length"]) + 1)
-                        fresh.append(entry)
-                if not is_last:
-                    consumed += len(chunk) + 1
-                elif not chunk:
-                    consumed += 0  # trailing newline already counted
-            shard.index_size = consumed
+            appended = self._consume_index(shard)
+            if appended is None:
+                appended = self._rescan_shard(shard)
+            fresh.extend(appended)
         return fresh
 
     # ------------------------------------------------------------------
@@ -499,21 +559,18 @@ class ShardedResultStore(BaseResultStore):
                     entry["offset"] = end - len(line) - 1
                     entry["length"] = len(line)
                     new_entries.append(entry)
-            with open(shard.index_path, "ab", buffering=0) as handle:
-                for entry in new_entries:
-                    handle.write(encode_index_line(entry))
-            for entry in new_entries:
-                self._absorb(entry)
-                shard.covered = max(shard.covered,
-                                    int(entry["offset"]) +
-                                    int(entry["length"]) + 1)
-            try:
-                shard.index_size = shard.index_path.stat().st_size
-            except OSError:
-                pass
-        self._dirty_puts += len(records)
-        if self._dirty_puts >= 256:
-            self.flush()
+            self._append_index(shard, new_entries)
+            self._adopt(shard, new_entries)
+
+    def _append_index(self, shard: _Shard,
+                      entries: List[Dict[str, object]]) -> None:
+        """One append of the index lines for *entries*, closing a line a
+        killed writer left open first (as record appends do)."""
+        data = b"".join(map(encode_index_line, entries))
+        if self._last_byte_is_not_newline(shard.index_path):
+            data = b"\n" + data
+        with open(shard.index_path, "ab", buffering=0) as handle:
+            handle.write(data)
 
     @staticmethod
     def _last_byte_is_not_newline(path: Path) -> bool:
@@ -557,9 +614,28 @@ class ShardedResultStore(BaseResultStore):
         matches.sort(key=lambda entry: entry["job_hash"] or "")
         return matches if limit is None else matches[:limit]
 
+    def query(self, scenario: Optional[str] = None,
+              protocol: Optional[str] = None,
+              seed: Optional[int] = None,
+              status: Optional[str] = None,
+              experiment: Optional[str] = None,
+              limit: Optional[int] = None) -> List[Dict[str, object]]:
+        """Full RunRecords matching the given filters, sorted by job hash.
+
+        Filters apply to index entries, so no non-matching record body is
+        ever read.
+        """
+        selected = self.query_entries(scenario=scenario, protocol=protocol,
+                                      seed=seed, status=status,
+                                      experiment=experiment, limit=limit)
+        records = (self.get(entry["job_hash"]) for entry in selected)
+        return [record for record in records if record is not None]
+
     def leaderboard(self) -> List[Dict[str, object]]:
-        """Per-protocol standings from the incrementally maintained
-        aggregate cache — never a record rescan."""
+        """Per-protocol standings pooled over every decodable record,
+        ranked by success rate, then mean delay, then protocol name —
+        served from the incrementally maintained aggregates, never a
+        record rescan."""
         self.load()
         return rank_pools(self._aggregates)
 
@@ -582,25 +658,8 @@ class ShardedResultStore(BaseResultStore):
                 "shard_width": self.shard_width}
 
     def flush(self) -> None:
-        """Persist the aggregate cache (write-behind, advisory: a stale
-        file is detected by its fingerprint and simply rebuilt from the
-        index on the next load)."""
-        if not self._loaded:
-            return
-        self._dirty_puts = 0
-        if not self.root.exists():
-            return
-        payload = {
-            "schema": INDEX_SCHEMA,
-            "fingerprint": {"records": len(self._entries)},
-            "leaderboard": self.leaderboard(),
-        }
-        try:
-            (self.root / AGGREGATES_FILENAME).write_text(
-                json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8")
-        except OSError:
-            pass
+        """A no-op: every put is durable when it returns (callers flush at
+        batch boundaries without knowing that)."""
 
     # ------------------------------------------------------------------
     # compaction
@@ -653,7 +712,6 @@ class ShardedResultStore(BaseResultStore):
             kept += len(winners)
         self._bump_generation()
         self.load(refresh=True)
-        self.flush()
         return {"records_kept": kept, "records_dropped": dropped,
                 "bytes_before": bytes_before, "bytes_after": bytes_after}
 
@@ -686,83 +744,96 @@ class ShardedResultStore(BaseResultStore):
 
 
 # ----------------------------------------------------------------------
-# layout detection and migration
+# opening, and migrating legacy flat stores
 # ----------------------------------------------------------------------
-def is_sharded_root(root: Union[str, Path]) -> bool:
-    """True when *root* holds a sharded-store layout."""
-    root = Path(root)
-    return (root / STORE_META_FILENAME).exists() or \
-        (root / SHARDS_DIRNAME).is_dir()
-
-
-def open_store(root: Union[str, Path]) -> BaseResultStore:
-    """The store at *root*, auto-detecting its layout.
-
-    A ``store.json`` / ``shards/`` layout opens as
-    :class:`ShardedResultStore`; anything else (including a root that does
-    not exist yet) opens as the flat :class:`repro.exp.ResultStore`, which
-    keeps every historical ``--store DIR`` invocation working unchanged.
-    """
-    if is_sharded_root(root):
-        return ShardedResultStore(root)
-    return ResultStore(root)
+def open_store(root: Union[str, Path]) -> ShardedResultStore:
+    """The store at *root* (which need not exist yet).  A legacy flat
+    root migrates in place when the handle first loads."""
+    return ShardedResultStore(root)
 
 
 def create_store(root: Union[str, Path],
-                 sharded: bool = True,
-                 shard_width: int = DEFAULT_SHARD_WIDTH) -> BaseResultStore:
-    """Open *root*, creating a sharded layout for brand-new roots.
-
-    An existing store keeps its layout (flat stores are never silently
-    converted — that is :func:`migrate_store`'s job); a fresh root becomes
-    sharded by default, which is what the service daemon wants.
-    """
-    root = Path(root)
-    if is_sharded_root(root):
-        return ShardedResultStore(root)
-    if (root / "records.jsonl").exists():
-        return ResultStore(root)
-    if not sharded:
-        return ResultStore(root)
+                 shard_width: int = DEFAULT_SHARD_WIDTH) -> ShardedResultStore:
+    """Open the store at *root*, writing its layout now if it is new
+    (an existing store keeps its shard width)."""
     store = ShardedResultStore(root, shard_width=shard_width)
     store._ensure_layout()
     return store
 
 
-def migrate_store(source: Union[str, Path], destination: Union[str, Path],
-                  shard_width: int = DEFAULT_SHARD_WIDTH,
-                  batch_size: int = 1024) -> Dict[str, object]:
-    """Copy a flat store's records into a sharded layout at *destination*.
+def _read_flat_records(path: Path) -> Optional[Dict[str, Dict[str, object]]]:
+    """The records of a legacy flat ``records.jsonl``, last write per hash
+    winning, or ``None`` when the file is gone.
 
-    Records land byte-identically (both layouts store canonical compact
-    JSON, one record per line); duplicate hashes in the flat file are
-    already resolved last-write-wins by the flat loader, so the sharded
-    store receives exactly the surviving records.  Returns a summary dict.
+    Tolerant the way the flat store's loader was: a torn final line (a kill
+    mid-append) is ignored, and a corrupt interior line or one without a
+    ``job_hash`` is skipped with a warning — dropping one line only means
+    its job re-runs.
+    """
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    lines = raw.split(b"\n")
+    final = max((number for number, line in enumerate(lines, start=1)
+                 if line.strip()), default=0)
+    records: Dict[str, Dict[str, object]] = {}
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            if number == final:
+                warnings.warn(f"ignoring truncated final record at "
+                              f"{path}:{number}", stacklevel=3)
+            else:
+                warnings.warn(f"skipping corrupt record at {path}:{number}",
+                              stacklevel=3)
+            continue
+        if not isinstance(record, dict) or not record.get("job_hash"):
+            warnings.warn(f"skipping record without job_hash at "
+                          f"{path}:{number}", stacklevel=3)
+            continue
+        records[str(record["job_hash"])] = record
+    return records
+
+
+def _fold_flat(store: ShardedResultStore, path: Path) -> Optional[int]:
+    """Append the flat file's records whose hashes *store* does not hold
+    yet — so a migration resumed after a crash never lets a flat record
+    supersede one written to the shards since — and return how many
+    records the file holds (``None`` when it is gone)."""
+    records = _read_flat_records(path)
+    if records is None:
+        return None
+    store.load()
+    store.put_many([record for job_hash, record in records.items()
+                    if job_hash not in store])
+    return len(records)
+
+
+def migrate_store(source: Union[str, Path], destination: Union[str, Path],
+                  shard_width: int = DEFAULT_SHARD_WIDTH) -> Dict[str, object]:
+    """Copy the flat store at *source* into the store at *destination*.
+
+    The same migration a legacy root gets in place on first load, except
+    that *source* is left untouched.  Records land byte-identically (both
+    layouts store canonical compact JSON, one record per line).  Returns a
+    summary dict.
     """
     source = Path(source)
     destination = Path(destination)
-    if is_sharded_root(source):
-        raise ValueError(f"{source} is already a sharded store")
-    if destination.exists() and any(destination.iterdir()):
-        if not is_sharded_root(destination):
-            raise ValueError(
-                f"migration destination {destination} exists and is not a "
-                f"sharded store")
-    flat = ResultStore(source)
-    flat.load()
-    sharded = ShardedResultStore(destination, shard_width=shard_width)
-    batch: List[Dict[str, object]] = []
-    migrated = 0
-    for record in flat.records():
-        batch.append(record)
-        if len(batch) >= batch_size:
-            sharded.put_many(batch)
-            migrated += len(batch)
-            batch = []
-    if batch:
-        sharded.put_many(batch)
-        migrated += len(batch)
-    sharded.flush()
+    flat = source / FLAT_RECORDS_FILENAME
+    if not flat.is_file():
+        raise ValueError(f"{source} holds no flat {FLAT_RECORDS_FILENAME} "
+                         f"(already a sharded store?)")
+    if destination.exists() and any(destination.iterdir()) and \
+            not (destination / STORE_META_FILENAME).exists():
+        raise ValueError(f"migration destination {destination} exists and "
+                         f"is not a result store")
+    store = create_store(destination, shard_width=shard_width)
+    migrated = _fold_flat(store, flat)
     return {"migrated": migrated, "source": str(source),
             "destination": str(destination),
-            "shards": len(sharded._shards), "shard_width": shard_width}
+            "shards": len(store._shards), "shard_width": store.shard_width}

@@ -4,6 +4,7 @@ RunRecord round-trips and the JSONL result store."""
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -11,9 +12,9 @@ from repro.exp.hashing import canonical, canonical_json, stable_hash
 from repro.exp.plan import build_plan
 from repro.exp.records import RECORD_SCHEMA, decode_result, encode_record
 from repro.exp.spec import ExperimentSpec, SweepAxis
-from repro.exp.store import ResultStore
 from repro.sim import ResourceConstraints, get_scenario
 from repro.sim.engine import SWEEPABLE_PARAMETERS
+from repro.svc.store import DEFAULT_SHARD_WIDTH, ShardedResultStore
 
 
 class TestHashing:
@@ -324,9 +325,22 @@ class TestRunRecords:
             decode_result(record)
 
 
+def _canonical_line(record) -> bytes:
+    return json.dumps(record, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def _shard_records(store, job_hash):
+    """The records file of the shard *job_hash* lands in."""
+    return store.path / job_hash[:DEFAULT_SHARD_WIDTH] / "records.jsonl"
+
+
 class TestResultStore:
+    """The one result store's put/get contract and crash tolerance.  The
+    flat-file cases now arrive as legacy roots, read by the migration."""
+
     def test_put_get_contains_len(self, tmp_path):
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         job, result = _one_result()
         record = encode_record(job, result, experiment="t")
         assert job.job_hash not in store
@@ -338,103 +352,108 @@ class TestResultStore:
     def test_persistence_across_instances(self, tmp_path):
         root = tmp_path / "results"
         job, result = _one_result()
-        ResultStore(root).put(encode_record(job, result))
-        reopened = ResultStore(root)
+        ShardedResultStore(root).put(encode_record(job, result))
+        reopened = ShardedResultStore(root)
         assert decode_result(reopened.get(job.job_hash)) == result
 
     def test_last_write_wins_on_duplicate_hash(self, tmp_path):
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         job, result = _one_result()
         first = encode_record(job, result, experiment="first")
         second = encode_record(job, result, experiment="second")
         store.put(first)
         store.put(second)
         assert len(store) == 1
-        assert ResultStore(store.root).get(job.job_hash)["experiment"] == \
-            "second"
+        assert ShardedResultStore(store.root).get(
+            job.job_hash)["experiment"] == "second"
 
     def test_rejects_records_without_hash(self, tmp_path):
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         with pytest.raises(ValueError, match="job_hash"):
             store.put({"schema": RECORD_SCHEMA})
 
     def test_truncated_final_line_is_tolerated(self, tmp_path):
-        """A kill mid-append leaves a partial last line; earlier records
-        must survive (the lost job simply re-runs on resume)."""
+        """A kill mid-append leaves a partial last line in a flat root;
+        earlier records must survive its migration (the lost job simply
+        re-runs on resume)."""
         root = tmp_path / "results"
         root.mkdir()
         (root / "records.jsonl").write_text(
             '{"job_hash": "a"}\n{"job_hash": "b", "trunc')
-        store = ResultStore(root)
+        store = ShardedResultStore(root)
         with pytest.warns(UserWarning, match="truncated final record"):
             store.load()
         assert store.hashes() == ["a"]
 
     def test_append_after_truncated_tail_starts_a_fresh_line(self, tmp_path):
-        """Resuming over a truncated tail must not glue the new record onto
-        the partial line (which would corrupt the store permanently)."""
+        """Resuming over a flat root with a truncated tail must not glue
+        the new record onto the partial line: new records land in the
+        shards, and every later open reads them back cleanly."""
         root = tmp_path / "results"
+        root.mkdir()
         job, result = _one_result()
-        store = ResultStore(root)
-        store.put(encode_record(job, result, experiment="a"))
-        # kill mid-append: chop the last 10 bytes of the file
-        data = store.path.read_bytes()
-        store.path.write_bytes(data + b'{"job_hash": "bb')
-        reopened = ResultStore(root)
+        (root / "records.jsonl").write_bytes(
+            _canonical_line(encode_record(job, result, experiment="a"))
+            + b'{"job_hash": "bb')
+        reopened = ShardedResultStore(root)
         with pytest.warns(UserWarning, match="truncated final record"):
             reopened.load()
         reopened.put(encode_record(job, result, experiment="b"))
         reopened.put(encode_record(job, result, experiment="c"))
-        # a fresh instance re-reads the file from scratch without complaint
-        final = ResultStore(root)
-        assert final.get(job.job_hash)["experiment"] == "c"
-        assert len(final) == 1
+        # a fresh instance re-reads the store from scratch without complaint
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final = ShardedResultStore(root)
+            assert final.get(job.job_hash)["experiment"] == "c"
+            assert len(final) == 1
 
     def test_complete_final_record_without_newline_is_not_glued(self, tmp_path):
         """A kill between the record write and the newline write leaves a
-        complete last line with no newline; the next append must start a
-        fresh line, not glue onto it."""
+        complete last line with no newline; the next append to that shard
+        must start a fresh line, not glue onto it."""
         root = tmp_path / "results"
         job, result = _one_result()
-        store = ResultStore(root)
+        store = ShardedResultStore(root)
         store.put(encode_record(job, result, experiment="a"))
-        data = store.path.read_bytes()
+        path = _shard_records(store, job.job_hash)
+        data = path.read_bytes()
         assert data.endswith(b"\n")
-        store.path.write_bytes(data[:-1])  # drop only the trailing newline
-        reopened = ResultStore(root)
+        path.write_bytes(data[:-1])  # drop only the trailing newline
+        reopened = ShardedResultStore(root)
         reopened.load()
         record = dict(encode_record(job, result, experiment="b"))
-        record["job_hash"] = "second-job"
+        record["job_hash"] = job.job_hash[:DEFAULT_SHARD_WIDTH] + "-second-job"
         reopened.put(record)
-        final = ResultStore(root)
+        assert _shard_records(reopened, record["job_hash"]) == path
+        final = ShardedResultStore(root)
         assert len(final) == 2
         assert final.get(job.job_hash)["experiment"] == "a"
-        assert final.get("second-job")["experiment"] == "b"
+        assert final.get(record["job_hash"])["experiment"] == "b"
 
     def test_put_never_discards_another_writers_appends(self, tmp_path):
-        """A clean store that merely grew under a second writer must not be
-        truncated back to this instance's loaded size."""
+        """A clean store that merely grew under a second writer must keep
+        that writer's records when this instance appends."""
         root = tmp_path / "results"
         job, result = _one_result()
-        reader = ResultStore(root)
-        reader.load()  # indexes an empty (non-existent) file
-        writer = ResultStore(root)
+        reader = ShardedResultStore(root)
+        reader.load()  # indexes an empty (non-existent) store
+        writer = ShardedResultStore(root)
         writer.put(encode_record(job, result, experiment="other-process"))
         record = dict(encode_record(job, result, experiment="mine"))
-        record["job_hash"] = "different-job"
+        record["job_hash"] = job.job_hash[:DEFAULT_SHARD_WIDTH] + "-other"
         reader.put(record)
-        final = ResultStore(root)
+        final = ShardedResultStore(root)
         assert len(final) == 2
         assert final.get(job.job_hash)["experiment"] == "other-process"
 
     def test_corrupt_interior_lines_warn_and_are_skipped(self, tmp_path):
         """Records are independent content-addressed lines: one damaged
-        line costs one re-run, not the whole store."""
+        line in a flat root costs one re-run, not the whole store."""
         root = tmp_path / "results"
         root.mkdir()
         (root / "records.jsonl").write_text(
             '{"job_hash": "a"}\nnot json\n{"job_hash": "b"}\n')
-        store = ResultStore(root)
+        store = ShardedResultStore(root)
         with pytest.warns(UserWarning, match="skipping corrupt record"):
             store.load()
         assert sorted(store.hashes()) == ["a", "b"]
@@ -444,13 +463,17 @@ class TestResultStore:
         loaded, put() must still start its record on a fresh line."""
         root = tmp_path / "results"
         job, result = _one_result()
-        store = ResultStore(root)
+        store = ShardedResultStore(root)
         store.load()  # clean (empty) view
-        # another writer crashes mid-append after our load
-        root.mkdir(parents=True, exist_ok=True)
-        (root / "records.jsonl").write_text('{"job_hash": "partial-cr')
+        # another writer crashes mid-append to the same shard after our load
+        path = _shard_records(store, job.job_hash)
+        path.parent.mkdir(parents=True)
+        path.write_text('{"job_hash": "partial-cr')
         store.put(encode_record(job, result, experiment="after-crash"))
-        final = ResultStore(root)
+        # rebuild the index from the records file alone: a glued line
+        # would lose the record, a fresh one only skips the partial line
+        path.with_name("index.jsonl").unlink()
+        final = ShardedResultStore(root)
         with pytest.warns(UserWarning, match="skipping corrupt record"):
             final.load()
         assert final.get(job.job_hash)["experiment"] == "after-crash"

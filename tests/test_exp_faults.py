@@ -7,9 +7,9 @@ still complete every healthy job, persist failure RunRecords for the
 quarantined ones, report them through ``experiment_status``, and re-run
 exactly the failures under ``retry_failed``.  Separately,
 :func:`repro.exp.pool.process_map` must drain (and persist) completed
-results before surfacing a job error, and :class:`repro.exp.ResultStore`
-must recover from truncated tails and corrupt lines — both pinned with
-hypothesis properties.
+results before surfacing a job error, and the result store must migrate
+legacy flat roots with truncated tails and corrupt lines losing only the
+damaged records — both pinned with hypothesis properties.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.exp import (
     ExperimentSpec,
     FaultPolicy,
-    ResultStore,
     experiment_status,
     process_map,
     run_experiment,
@@ -36,6 +35,7 @@ from repro.exp.records import decode_failure, is_failure_record
 from repro.forwarding import PoissonMessageWorkload
 from repro.scenario.traces import TwoClassTraceSpec
 from repro.sim.scenarios import Scenario
+from repro.svc.store import ShardedResultStore
 
 _TRACE = TwoClassTraceSpec(num_high=2, num_low=4, duration=600.0,
                            mean_contacts_per_node=10.0)
@@ -141,7 +141,7 @@ class TestQuarantine:
         result = run_experiment(spec, store=store, policy=_POLICY)
         assert result.num_failed == 1
 
-        resolved = ResultStore(store)
+        resolved = ShardedResultStore(store)
         failed_hash = result.outcome.failed[0]
         record = resolved.get(failed_hash)
         assert record is not None and is_failure_record(record)
@@ -237,7 +237,7 @@ class TestWorkerCrash:
         (row,) = result.failure_rows()
         assert row["scenario"] == "pill"
         assert row["error_kind"] == "WorkerCrash"
-        record = ResultStore(store).get(row["job_hash"])
+        record = ShardedResultStore(store).get(row["job_hash"])
         assert record is not None and is_failure_record(record)
 
 
@@ -270,10 +270,13 @@ class TestProcessMapDrain:
 # store recovery properties
 # ----------------------------------------------------------------------
 def _fill(store_dir, count):
-    store = ResultStore(store_dir)
-    for i in range(count):
-        store.put({"job_hash": f"hash-{i}", "value": i})
-    return store.path
+    """A legacy flat root holding *count* records; returns its file."""
+    path = store_dir / "records.jsonl"
+    path.write_bytes(b"".join(
+        json.dumps({"job_hash": f"hash-{i}", "value": i}, sort_keys=True,
+                   separators=(",", ":")).encode("utf-8") + b"\n"
+        for i in range(count)))
+    return path
 
 
 class TestStoreRecovery:
@@ -290,7 +293,7 @@ class TestStoreRecovery:
         cut = min(cut, len(last_line) - 1)
         path.write_bytes(raw[:len(raw) - cut])
 
-        fresh = ResultStore(root)
+        fresh = ShardedResultStore(root)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fresh.load()
@@ -302,11 +305,14 @@ class TestStoreRecovery:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fresh.put({"job_hash": "hash-new", "value": -1})
-        reread = ResultStore(root)
+        reread = ShardedResultStore(root)
         reread.load()
         assert "hash-new" in reread.hashes()
-        for line in path.read_bytes().strip().split(b"\n"):
-            json.loads(line)  # every line parses
+        shard_files = list(reread.path.glob("*/records.jsonl"))
+        assert shard_files
+        for shard_file in shard_files:
+            for line in shard_file.read_bytes().strip().split(b"\n"):
+                json.loads(line)  # every line parses
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -323,7 +329,7 @@ class TestStoreRecovery:
         lines[victim] = garbage
         path.write_bytes(b"\n".join(lines) + b"\n")
 
-        fresh = ResultStore(root)
+        fresh = ShardedResultStore(root)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fresh.load()

@@ -16,10 +16,10 @@ from repro.exp.orchestrator import (
 from repro.exp.plan import build_plan
 from repro.exp.records import decode_result
 from repro.exp.spec import ExperimentSpec, SweepAxis
-from repro.exp.store import ResultStore
 from repro.routing.tournament import run_tournament
 from repro.sim.cli import main
 from repro.sim.runner import run_scenario, sweep_scenario
+from repro.svc.store import ShardedResultStore
 
 SMALL_SPEC = ExperimentSpec(
     name="small", scenarios=("paper-ttl-tight",),
@@ -54,12 +54,13 @@ class TestResume:
         assert run_experiment(renamed, store=store).num_executed == 0
 
     def test_fresh_run_ignores_but_rewrites_the_store(self, tmp_path):
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         run_experiment(SMALL_SPEC, store=store)
         fresh = run_experiment(SMALL_SPEC, store=store, resume=False)
         assert fresh.num_executed == 2
         assert fresh.num_reused == 0
-        assert len(ResultStore(store.root)) == 2  # last write wins, no dupes
+        # last write wins, no dupes
+        assert len(ShardedResultStore(store.root)) == 2
 
     def test_reused_records_decode_to_the_simulated_results(self, tmp_path):
         store = tmp_path / "results"
@@ -73,7 +74,7 @@ class TestResume:
         only the in-flight job and resume re-executes just the tail."""
         import repro.exp.orchestrator as orchestrator
 
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         real_run = orchestrator._run_exp_job
         calls = {"n": 0}
 
@@ -86,7 +87,7 @@ class TestResume:
         monkeypatch.setattr(orchestrator, "_run_exp_job", explode_on_second)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(SMALL_SPEC, store=store)
-        assert len(ResultStore(store.root)) == 1  # first job survived
+        assert len(ShardedResultStore(store.root)) == 1  # first job survived
         monkeypatch.setattr(orchestrator, "_run_exp_job", real_run)
         resumed = run_experiment(SMALL_SPEC, store=store)
         assert resumed.num_executed == 1
@@ -104,33 +105,27 @@ class TestResume:
         """A record this build cannot decode (e.g. a future schema, or a
         store merged from another version) must warn and re-run that job,
         not fail the whole resumed run."""
-        import json as json_module
-
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         run_experiment(SMALL_SPEC, store=store)
-        records = list(ResultStore(store.root).records())
-        records[0] = dict(records[0], schema=999)
-        store.path.write_text("".join(
-            json_module.dumps(record) + "\n" for record in records))
-        reopened = ResultStore(store.root)
+        records = list(ShardedResultStore(store.root).records())
+        store.put(dict(records[0], schema=999))  # last write wins
+        reopened = ShardedResultStore(store.root)
         with pytest.warns(UserWarning, match="not decodable"):
             healed = run_experiment(SMALL_SPEC, store=reopened)
         assert healed.num_executed == 1
         assert healed.num_reused == 1
         # the fresh record overwrote the stale one: next run reuses fully
-        assert run_experiment(SMALL_SPEC,
-                              store=ResultStore(store.root)).num_executed == 0
+        rerun = run_experiment(SMALL_SPEC,
+                               store=ShardedResultStore(store.root))
+        assert rerun.num_executed == 0
 
     def test_status_agrees_with_run_on_undecodable_records(self, tmp_path):
-        import json as json_module
-
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         run_experiment(SMALL_SPEC, store=store)
-        records = list(ResultStore(store.root).records())
-        records[0] = dict(records[0], schema=999)
-        store.path.write_text("".join(
-            json_module.dumps(record) + "\n" for record in records))
-        status = experiment_status(SMALL_SPEC, store=ResultStore(store.root))
+        records = list(ShardedResultStore(store.root).records())
+        store.put(dict(records[0], schema=999))  # last write wins
+        status = experiment_status(SMALL_SPEC,
+                                   store=ShardedResultStore(store.root))
         assert (status["done"], status["pending"]) == (1, 1)
 
     def test_status_reports_done_and_pending(self, tmp_path):
@@ -154,13 +149,19 @@ class TestDeterminism:
             protocols=("Epidemic", "Binary Spray-and-Wait"),
             seeds=(7, 8), num_runs=2,
             sweep=SweepAxis("buffer_capacity", (4.0, None)))
-        serial_store = ResultStore(tmp_path / "serial")
-        parallel_store = ResultStore(tmp_path / "parallel")
+        serial_store = ShardedResultStore(tmp_path / "serial")
+        parallel_store = ShardedResultStore(tmp_path / "parallel")
         serial = run_experiment(spec, store=serial_store)
         parallel = run_experiment(spec, store=parallel_store,
                                   parallel=True, n_workers=2)
         assert serial.num_executed == parallel.num_executed == 32
-        assert serial_store.path.read_bytes() == parallel_store.path.read_bytes()
+
+        def shard_files(store):
+            return {path.relative_to(store.root): path.read_bytes()
+                    for path in sorted(store.path.glob("*/*.jsonl"))}
+
+        serial_files = shard_files(serial_store)
+        assert serial_files and serial_files == shard_files(parallel_store)
 
     def test_trace_cache_does_not_change_results(self):
         plan = build_plan(SMALL_SPEC)
@@ -207,7 +208,8 @@ class TestDeterminism:
             metrics_path=str(tmp_path / "metrics.json")))
         job = result.plan.jobs[0]
         assert result.result_for(job).telemetry["engine"] == "vector"
-        assert ResultStore(store).get(job.job_hash)["engine"] == "vector"
+        assert ShardedResultStore(store).get(
+            job.job_hash)["engine"] == "vector"
 
 
 class _PlainWorkload:
@@ -251,7 +253,7 @@ def test_unhashable_workload_state_still_runs_with_warning(tmp_path):
     assert result.num_messages > 0
     # through the store: jobs run every time, nothing is wrongly reused
     spec = ExperimentSpec(name="rng", scenarios=(scenario,))
-    store = ResultStore(tmp_path / "results")
+    store = ShardedResultStore(tmp_path / "results")
     with pytest.warns(UserWarning, match="unhashable"):
         first = run_experiment(spec, store=store)
     with pytest.warns(UserWarning, match="unhashable"):

@@ -1,12 +1,13 @@
 """Live experiment feeds: incremental store reads, status tracking, the
 streaming leaderboard and the ``exp watch`` CLI.
 
-The load-bearing guarantees: :meth:`ResultStore.refresh` parses only the
-bytes appended since the last poll (and never consumes a writer's partial
-line); :class:`StatusTracker` reproduces ``experiment_status`` payloads
-exactly while polling incrementally; :class:`LiveLeaderboard` converges to
-the tournament's final standings; and an interrupted observed run keeps
-its telemetry artifacts across resume.
+The load-bearing guarantees: :meth:`ShardedResultStore.refresh_entries`
+parses only the index bytes appended since the last poll (and never
+consumes a writer's partial line); :class:`StatusTracker` reproduces
+``experiment_status`` payloads exactly while polling incrementally;
+:class:`LiveLeaderboard` converges to the tournament's final standings;
+and an interrupted observed run keeps its telemetry artifacts across
+resume.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import time
 
 import pytest
 
-from repro.exp import ExperimentSpec, ResultStore, run_experiment
+from repro.exp import ExperimentSpec, run_experiment
+from repro.exp.store import record_entry
 from repro.exp.orchestrator import experiment_status
 from repro.obs import LiveLeaderboard, ObsConfig, StatusTracker, read_trace
 from repro.obs.feed import StatusTracker as FeedStatusTracker
 from repro.routing.tournament import run_tournament
 from repro.sim.cli import main
+from repro.svc.store import ShardedResultStore, encode_index_line
 
 SMALL_SPEC = ExperimentSpec(
     name="feed-small", scenarios=("paper-ttl-tight",),
@@ -33,86 +36,120 @@ def _record(job_hash, payload=0):
     return {"schema": 1, "job_hash": job_hash, "payload": payload}
 
 
-def _append_raw(store, data: bytes) -> None:
-    store.root.mkdir(parents=True, exist_ok=True)
-    with open(store.path, "ab") as handle:
+def _shard_dir(store, job_hash):
+    return store.path / store._prefix_of(job_hash)
+
+
+def _append_record(store, record) -> bytes:
+    """Append *record*'s line to its shard's records file, as a writer
+    does before its index append, and return that index line."""
+    directory = _shard_dir(store, record["job_hash"])
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "records.jsonl"
+    offset = path.stat().st_size if path.exists() else 0
+    line = json.dumps(record, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    with open(path, "ab") as handle:
+        handle.write(line + b"\n")
+    entry = record_entry(record)
+    entry.update(offset=offset, length=len(line))
+    return encode_index_line(entry)
+
+
+def _append_raw(store, job_hash, data: bytes,
+                name: str = "index.jsonl") -> None:
+    directory = _shard_dir(store, job_hash)
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / name, "ab") as handle:
         handle.write(data)
 
 
+def _hashes(entries):
+    return [entry["job_hash"] for entry in entries]
+
+
 # ----------------------------------------------------------------------
-# ResultStore.refresh
+# ShardedResultStore.refresh_entries
 # ----------------------------------------------------------------------
 class TestStoreRefresh:
     def test_first_refresh_loads_everything(self, tmp_path):
-        writer = ResultStore(tmp_path / "s")
+        writer = ShardedResultStore(tmp_path / "s")
         writer.put(_record("a"))
         writer.put(_record("b"))
-        reader = ResultStore(tmp_path / "s")
-        fresh = reader.refresh()
-        assert {record["job_hash"] for record in fresh} == {"a", "b"}
-        assert reader.refresh() == []
+        reader = ShardedResultStore(tmp_path / "s")
+        fresh = reader.refresh_entries()
+        assert set(_hashes(fresh)) == {"a", "b"}
+        assert reader.refresh_entries() == []
 
     def test_refresh_returns_only_appended_records(self, tmp_path):
-        writer = ResultStore(tmp_path / "s")
+        writer = ShardedResultStore(tmp_path / "s")
         writer.put(_record("a"))
-        reader = ResultStore(tmp_path / "s")
+        reader = ShardedResultStore(tmp_path / "s")
         reader.load()
-        assert reader.refresh() == []
+        assert reader.refresh_entries() == []
         writer.put(_record("b"))
         writer.put(_record("c"))
-        fresh = reader.refresh()
-        assert [record["job_hash"] for record in fresh] == ["b", "c"]
-        assert reader.refresh() == []
+        fresh = reader.refresh_entries()
+        assert _hashes(fresh) == ["b", "c"]
+        assert reader.refresh_entries() == []
         assert reader.get("c") == _record("c")
 
     def test_partial_final_line_is_left_for_the_next_poll(self, tmp_path):
         """A writer caught mid-append must not lose the record: the
-        partial line stays unconsumed and parses once completed."""
-        writer = ResultStore(tmp_path / "s")
-        writer.put(_record("a"))
-        reader = ResultStore(tmp_path / "s")
+        partial index line stays unconsumed and parses once completed."""
+        writer = ShardedResultStore(tmp_path / "s")
+        writer.put(_record("aa1"))
+        reader = ShardedResultStore(tmp_path / "s")
         reader.load()
-        line = json.dumps(_record("b")).encode("utf-8")
-        _append_raw(reader, line[:10])          # mid-append snapshot
-        assert reader.refresh() == []
-        _append_raw(reader, line[10:] + b"\n")  # writer finishes
-        fresh = reader.refresh()
-        assert [record["job_hash"] for record in fresh] == ["b"]
-        # the reader never marked the store damaged
-        assert not reader._truncated_tail
+        line = _append_record(reader, _record("aa2"))
+        index = _shard_dir(reader, "aa2") / "index.jsonl"
+        _append_raw(reader, "aa2", line[:10])     # mid-append snapshot
+        inode = index.stat().st_ino
+        assert reader.refresh_entries() == []
+        _append_raw(reader, "aa2", line[10:])     # writer finishes
+        fresh = reader.refresh_entries()
+        assert _hashes(fresh) == ["aa2"]
+        # the reader never treated the line as damage: nothing rebuilt
+        assert index.stat().st_ino == inode
+        assert index.read_bytes().endswith(b"\n" + line)
 
     def test_complete_line_without_trailing_newline_is_consumed(self, tmp_path):
-        writer = ResultStore(tmp_path / "s")
-        writer.put(_record("a"))
-        reader = ResultStore(tmp_path / "s")
+        writer = ShardedResultStore(tmp_path / "s")
+        writer.put(_record("aa1"))
+        reader = ShardedResultStore(tmp_path / "s")
         reader.load()
-        _append_raw(reader, json.dumps(_record("b")).encode("utf-8"))
-        fresh = reader.refresh()
-        assert [record["job_hash"] for record in fresh] == ["b"]
-        assert reader.refresh() == []
+        line = _append_record(reader, _record("aa2"))
+        _append_raw(reader, "aa2", line[:-1])
+        fresh = reader.refresh_entries()
+        assert _hashes(fresh) == ["aa2"]
+        assert reader.refresh_entries() == []
 
     def test_shrunken_file_triggers_full_reload(self, tmp_path):
-        writer = ResultStore(tmp_path / "s")
-        writer.put(_record("a"))
-        writer.put(_record("b"))
-        reader = ResultStore(tmp_path / "s")
+        writer = ShardedResultStore(tmp_path / "s")
+        writer.put(_record("aa1"))
+        writer.put(_record("aa2"))
+        reader = ShardedResultStore(tmp_path / "s")
         reader.load()
-        writer.path.write_text(
-            json.dumps(_record("z")) + "\n")  # store rewritten from scratch
-        fresh = reader.refresh()
-        assert [record["job_hash"] for record in fresh] == ["z"]
-        assert reader.hashes() == ["z"]
+        # the shard is rewritten from scratch under the reader
+        directory = _shard_dir(writer, "aa1")
+        (directory / "records.jsonl").unlink()
+        (directory / "index.jsonl").unlink()
+        _append_raw(writer, "aaz", _append_record(writer, _record("aaz")))
+        fresh = reader.refresh_entries()
+        assert _hashes(fresh) == ["aaz"]
+        assert reader.hashes() == ["aaz"]
 
     def test_corrupt_interior_line_warns_and_skips(self, tmp_path):
-        writer = ResultStore(tmp_path / "s")
-        writer.put(_record("a"))
-        reader = ResultStore(tmp_path / "s")
+        writer = ShardedResultStore(tmp_path / "s")
+        writer.put(_record("aa1"))
+        reader = ShardedResultStore(tmp_path / "s")
         reader.load()
-        _append_raw(reader, b"{this is not json}\n")
-        _append_raw(reader, json.dumps(_record("b")).encode() + b"\n")
+        _append_raw(reader, "aa2", b"{this is not json}\n", "records.jsonl")
+        line = _append_record(reader, _record("aa2"))
+        _append_raw(reader, "aa2", b"{this is not json}\n" + line)
         with pytest.warns(UserWarning, match="corrupt"):
-            fresh = reader.refresh()
-        assert [record["job_hash"] for record in fresh] == ["b"]
+            fresh = reader.refresh_entries()
+        assert _hashes(fresh) == ["aa2"]
 
 
 # ----------------------------------------------------------------------
@@ -157,9 +194,10 @@ class TestStatusTracker:
         assert not tracker.is_complete
 
     def test_failure_records_classify_and_report(self, tmp_path):
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         run_experiment(SMALL_SPEC, store=store)
-        tracker = StatusTracker(SMALL_SPEC, store=ResultStore(store.root))
+        tracker = StatusTracker(SMALL_SPEC,
+                                store=ShardedResultStore(store.root))
         assert tracker.refresh()["failed"] == 0
         # quarantine one job after the fact: last write wins per hash
         victim = tracker.plan.jobs[0]
@@ -174,8 +212,8 @@ class TestStatusTracker:
         (row,) = status["failures"]
         assert row["protocol"] == victim.protocol
         assert row["error_kind"] == "RuntimeError"
-        assert status == experiment_status(SMALL_SPEC,
-                                           store=ResultStore(store.root))
+        assert status == experiment_status(
+            SMALL_SPEC, store=ShardedResultStore(store.root))
         # failed jobs are settled: watch terminates on them
         assert tracker.is_complete
 
@@ -314,7 +352,7 @@ class TestKillAndResume:
         executes the tail, keeps the old trace, and writes metrics."""
         import repro.exp.orchestrator as orchestrator
 
-        store = ResultStore(tmp_path / "results")
+        store = ShardedResultStore(tmp_path / "results")
         obs = ObsConfig(trace_dir=str(tmp_path / "traces"),
                         metrics_path=str(tmp_path / "metrics.json"))
         real_run = orchestrator._run_exp_job
@@ -335,7 +373,8 @@ class TestKillAndResume:
         first_trace = survivors[0].read_bytes()
 
         monkeypatch.setattr(orchestrator, "_run_exp_job", real_run)
-        resumed = run_experiment(SMALL_SPEC, store=ResultStore(store.root),
+        resumed = run_experiment(SMALL_SPEC,
+                                 store=ShardedResultStore(store.root),
                                  obs=obs)
         assert resumed.num_executed == 1
         assert resumed.num_reused == 1

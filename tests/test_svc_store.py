@@ -2,40 +2,48 @@
 
   * index-line codec round-trips (hypothesis property over every field
     combination the store can persist);
-  * flat -> sharded migration and layout auto-detection;
+  * legacy flat-root migration, in place on first load through every
+    opener and into another directory via ``migrate_store``, against a
+    brute-force fold of the flat file;
   * query-filter correctness against a brute-force scan of full record
     bodies on a generated store;
-  * incrementally maintained leaderboard aggregates vs recomputation;
+  * incrementally maintained leaderboard aggregates vs recomputation,
+    ranked on exact success rates;
   * compaction drops superseded lines while pinning query results
     byte for byte;
-  * crash recovery: lost/torn indexes self-heal from the records file,
-    torn record tails are ignored;
+  * crash recovery: lost/torn indexes self-heal from the records file
+    (a torn index append rebuilds its shard once), torn record tails are
+    ignored;
   * concurrent-writer safety: two processes appending to the same shard.
 """
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exp import ExperimentSpec, run_experiment
 from repro.exp.records import RECORD_SCHEMA
-from repro.exp.store import QUERY_FIELDS, ResultStore, record_entry
+from repro.exp.store import QUERY_FIELDS, aggregate_leaderboard, record_entry
+from repro.obs import StatusTracker
 from repro.sim.cli import main
+from repro.svc.daemon import ExperimentDaemon
 from repro.svc.store import (
     DEFAULT_SHARD_WIDTH,
     ShardedResultStore,
     create_store,
     decode_index_line,
     encode_index_line,
-    is_sharded_root,
     migrate_store,
     open_store,
 )
@@ -89,12 +97,51 @@ def generated_records():
     return records
 
 
+def canonical_line(record) -> bytes:
+    return json.dumps(record, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def write_flat_root(root: Path, records) -> Path:
+    """A legacy flat root: one ``records.jsonl`` of canonical lines."""
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / "records.jsonl"
+    path.write_bytes(b"".join(map(canonical_line, records)))
+    return path
+
+
+class FlatFold:
+    """The brute-force answer to every store question: a fold of a flat
+    ``records.jsonl`` read whole (last write per hash wins)."""
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self._records = {}
+        for line in (root / "records.jsonl").read_bytes().splitlines():
+            record = json.loads(line)
+            self._records[record["job_hash"]] = record
+
+    def __len__(self):
+        return len(self._records)
+
+    def hashes(self):
+        return list(self._records)
+
+    def get(self, job_hash):
+        return self._records.get(job_hash)
+
+    def records(self):
+        return iter(self._records.values())
+
+    def leaderboard(self):
+        return aggregate_leaderboard(
+            record_entry(record) for record in self._records.values())
+
+
 @pytest.fixture
 def flat_store(tmp_path):
-    store = ResultStore(tmp_path / "flat")
-    for record in generated_records():
-        store.put(record)
-    return store
+    write_flat_root(tmp_path / "flat", generated_records())
+    return FlatFold(tmp_path / "flat")
 
 
 @pytest.fixture
@@ -174,21 +221,31 @@ class TestMigration:
         migrate_store(flat_store.root, tmp_path / "sharded")
         assert isinstance(open_store(tmp_path / "sharded"),
                           ShardedResultStore)
-        assert isinstance(open_store(flat_store.root), ResultStore)
-        assert is_sharded_root(tmp_path / "sharded")
-        assert not is_sharded_root(flat_store.root)
+        opened = open_store(flat_store.root)
+        assert isinstance(opened, ShardedResultStore)
+        assert (flat_store.root / "records.jsonl").exists()  # lazy
+        with pytest.warns(UserWarning,
+                          match=f"migrated {len(flat_store)} record"):
+            assert len(opened) == len(flat_store)
+        assert (flat_store.root / "records.jsonl.migrated").exists()
+        assert not (flat_store.root / "records.jsonl").exists()
 
     def test_migrating_a_sharded_source_is_refused(self, sharded_store,
                                                    tmp_path):
         with pytest.raises(ValueError, match="already a sharded store"):
             migrate_store(sharded_store.root, tmp_path / "other")
 
-    def test_create_store_keeps_existing_flat_layout(self, flat_store,
-                                                     tmp_path):
-        assert isinstance(create_store(flat_store.root), ResultStore)
-        fresh = create_store(tmp_path / "brand-new")
+    def test_create_store_migrates_an_existing_flat_root(self, flat_store,
+                                                        tmp_path):
+        store = create_store(flat_store.root)
+        assert isinstance(store, ShardedResultStore)
+        with pytest.warns(UserWarning, match="migrated"):
+            assert sorted(store.hashes()) == sorted(flat_store.hashes())
+        fresh = create_store(tmp_path / "brand-new", shard_width=3)
         assert isinstance(fresh, ShardedResultStore)
-        assert is_sharded_root(tmp_path / "brand-new")
+        meta = json.loads((tmp_path / "brand-new" / "store.json").read_text())
+        assert meta["shard_width"] == 3
+        assert (tmp_path / "brand-new" / "shards").is_dir()
 
     def test_shard_fanout_uses_hash_prefix(self, sharded_store):
         for job_hash in sharded_store.hashes():
@@ -200,8 +257,176 @@ class TestMigration:
 
 
 # ----------------------------------------------------------------------
+# legacy flat roots migrate in place, once, through every opener
+# ----------------------------------------------------------------------
+LEGACY_SPEC = ExperimentSpec(
+    name="legacy", scenarios=("paper-ttl-tight",),
+    protocols=("Epidemic", "Direct Delivery"), seeds=(7,), num_runs=1)
+
+
+@pytest.fixture(scope="module")
+def legacy_records(tmp_path_factory):
+    """The records of a real run of LEGACY_SPEC, as a flat root holds them."""
+    root = tmp_path_factory.mktemp("legacy-source") / "store"
+    run_experiment(LEGACY_SPEC, store=root)
+    return list(ShardedResultStore(root).records())
+
+
+def _run_experiment(root):
+    assert run_experiment(LEGACY_SPEC, store=str(root)).num_executed == 0
+
+
+def _track_status(root):
+    status = StatusTracker(LEGACY_SPEC, store=str(root)).refresh()
+    assert status["done"] == status["total_jobs"] == 2
+
+
+def _run_daemon(root):
+    async def scenario():
+        daemon = ExperimentDaemon(root)
+        await daemon.start(recover=False)
+        await daemon.drain()
+
+    asyncio.run(scenario())
+
+
+OPENERS = {
+    "open_store": lambda root: open_store(root).load(),
+    "create_store": lambda root: create_store(root).load(),
+    "run_experiment": _run_experiment,
+    "StatusTracker": _track_status,
+    "ExperimentDaemon": _run_daemon,
+}
+
+
+def _migrations(caught):
+    return [w for w in caught if "migrated" in str(w.message)]
+
+
+def assert_answers_like(store, fold):
+    """*store* answers get / query_entries / query / leaderboard exactly
+    as the brute-force fold of the flat file does."""
+    assert sorted(store.hashes()) == sorted(fold.hashes())
+    for job_hash in fold.hashes():
+        assert store.get(job_hash) == fold.get(job_hash)
+    assert [entry["job_hash"] for entry in store.query_entries()] == \
+        sorted(fold.hashes())
+    for record in fold.records():
+        protocol = record["protocol"]
+        assert {entry["job_hash"] for entry in
+                store.query_entries(protocol=protocol)} == \
+            brute_force(fold, protocol=protocol)
+    assert store.leaderboard() == fold.leaderboard()
+
+
+class TestLegacyRoots:
+    @pytest.mark.parametrize("opener", sorted(OPENERS))
+    def test_every_opener_migrates_once(self, opener, legacy_records,
+                                        tmp_path):
+        root = tmp_path / "legacy"
+        flat = write_flat_root(root, legacy_records)
+        original = flat.read_bytes()
+        fold = FlatFold(root)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            OPENERS[opener](root)
+        (migration,) = _migrations(caught)
+        assert str(root) in str(migration.message)
+        assert f"{len(legacy_records)} record" in str(migration.message)
+        assert not flat.exists()
+        assert (root / "records.jsonl.migrated").read_bytes() == original
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reopened = open_store(root)
+            assert_answers_like(reopened, fold)
+        assert _migrations(caught) == []
+        # the records moved byte for byte: each shard line is a flat line
+        shard_lines = sorted(line for path in reopened.path.glob(
+            "*/records.jsonl") for line in path.read_bytes().splitlines())
+        assert shard_lines == sorted(original.splitlines())
+
+    def test_duplicates_and_damage_fold_like_the_flat_loader(self,
+                                                             tmp_path):
+        records = generated_records()
+        retried = dict(records[0], experiment="retried")
+        flat = write_flat_root(tmp_path / "legacy", records + [retried])
+        with open(flat, "ab") as handle:
+            handle.write(b'{"job_hash": "torn')
+        with pytest.warns(UserWarning, match="truncated final record"):
+            store = open_store(tmp_path / "legacy")
+            store.load()
+        assert store.get(records[0]["job_hash"])["experiment"] == "retried"
+        assert len(store) == len(records)
+
+    def _crash_after(self, root, records, appended, later=()):
+        """The state a migration killed after *appended* shard appends
+        leaves (the flat file still in place, some records in shards),
+        plus the *later* records a writer stored after the crash."""
+        partial = root.parent / "partial"
+        store = create_store(partial)
+        store.put_many(records[:appended])
+        store.put_many(later)
+        (partial / "shards").rename(root / "shards")
+        (partial / "store.json").rename(root / "store.json")
+
+    def test_interrupted_migration_completes_on_next_open(self, flat_store):
+        records = list(flat_store.records())
+        self._crash_after(flat_store.root, records, 7)
+        with pytest.warns(UserWarning, match=f"migrated {len(records)}"):
+            store = open_store(flat_store.root)
+            assert_answers_like(store, flat_store)
+        # each record landed once: the resumed run skipped the first 7
+        lines = [line for path in store.path.glob("*/records.jsonl")
+                 for line in path.read_bytes().splitlines()]
+        assert len(lines) == len(records)
+
+    def test_newer_sharded_record_survives_a_resumed_migration(
+            self, flat_store):
+        records = list(flat_store.records())
+        # after the crash, a writer stored newer results for one hash the
+        # migration had appended and for one it had not reached yet
+        newer = [dict(records[2], experiment="newer"),
+                 dict(records[12], experiment="newer")]
+        self._crash_after(flat_store.root, records, 7, later=newer)
+        with pytest.warns(UserWarning, match="migrated"):
+            store = open_store(flat_store.root)
+            store.load()
+        for record in newer:
+            assert store.get(record["job_hash"])["experiment"] == "newer"
+        assert len(store) == len(records)
+
+    def test_a_migrator_that_loses_the_rename_race_stands_down(
+            self, flat_store, monkeypatch):
+        import repro.svc.store as store_module
+
+        read = store_module._read_flat_records
+        raced = []
+
+        def read_then_race(path):
+            records = read(path)
+            if not raced:
+                raced.append(True)
+                open_store(flat_store.root).load()  # the rival commits
+            return records
+
+        monkeypatch.setattr(store_module, "_read_flat_records",
+                            read_then_race)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store = open_store(flat_store.root)
+            assert_answers_like(store, flat_store)
+        assert len(_migrations(caught)) == 1
+        assert sorted(path.name for path in flat_store.root.iterdir()) == \
+            ["records.jsonl.migrated", "shards", "store.json"]
+
+
+# ----------------------------------------------------------------------
 # query correctness vs brute force
 # ----------------------------------------------------------------------
+def _hashes(entries):
+    return [entry["job_hash"] for entry in entries]
+
+
 def brute_force(store, **filters):
     hashes = set()
     for record in store.records():
@@ -281,11 +506,31 @@ class TestLeaderboard:
         reread = ShardedResultStore(sharded_store.root)
         assert reread.leaderboard() == sharded_store.leaderboard()
 
-    def test_flush_persists_aggregate_cache(self, sharded_store):
+    def test_ranks_on_exact_success_rate(self, tmp_path, capsys):
+        """1498/1499 and 1499/1500 both round to 0.999333; the higher
+        exact rate must rank first even though its mean delay is longer,
+        on every leaderboard surface."""
+        store = create_store(tmp_path / "store")
+        store.put(make_record(job_hash_for(1), protocol="lower",
+                              messages=1499, delivered=1498))
+        store.put(make_record(job_hash_for(2), protocol="higher",
+                              messages=1500, delivered=1499))
+        rows = store.leaderboard()
+        assert [row["protocol"] for row in rows] == ["higher", "lower"]
+        assert rows[0]["success_rate"] == rows[1]["success_rate"] == 0.999333
+        assert rows[0]["mean_delay_s"] > rows[1]["mean_delay_s"]
+        assert aggregate_leaderboard(store.entries()) == rows
+        assert ShardedResultStore(store.root).leaderboard() == rows
+        board = tmp_path / "board.json"
+        assert main(["svc", "leaderboard", "--store", str(store.root),
+                     "--json", str(board)]) == 0
+        assert json.loads(board.read_text()) == rows
+
+    def test_no_aggregate_file_is_written(self, sharded_store):
+        sharded_store.put(make_record(job_hash_for(500)))
         sharded_store.flush()
-        payload = json.loads(
-            (sharded_store.root / "aggregates.json").read_text())
-        assert payload["leaderboard"] == sharded_store.leaderboard()
+        assert sorted(path.name for path in sharded_store.root.iterdir()) \
+            == ["shards", "store.json"]
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +555,19 @@ class TestRefresh:
         writer.put(make_record(job_hash_for(1)))
         fresh = reader.refresh_entries()
         assert len(fresh) == 1 and len(reader) == 1
+
+    def test_a_writing_handle_still_sees_other_writers(self, tmp_path):
+        """Appending to a shard must not make a handle skip the index
+        lines another writer appended there since its last read."""
+        writer = create_store(tmp_path / "store")
+        writer.put(make_record("aa" + "0" * 62))
+        other = ShardedResultStore(writer.root)
+        other.put(make_record("aa" + "1" * 62, seed=1))
+        writer.put(make_record("aa" + "2" * 62, seed=2))
+        assert _hashes(writer.refresh_entries()) == ["aa" + "1" * 62]
+        assert sorted(writer.hashes()) == \
+            sorted(ShardedResultStore(writer.root).hashes())
+        assert writer.refresh_entries() == []
 
     def test_refresh_survives_external_compaction(self, sharded_store):
         reader = ShardedResultStore(sharded_store.root)
@@ -405,6 +663,56 @@ class TestRecovery:
         assert len(final) == expected + 1
         assert final.get(job_hash_for(1000)) is not None
 
+    def test_torn_index_append_heals_for_refreshers_and_reopens(
+            self, tmp_path):
+        """A writer killed mid-way through an index append: the next
+        append must not glue onto the torn bytes, a handle that only
+        refreshes must end up holding what a fresh load holds, and
+        reopening must stop re-appending recovered index lines."""
+        root = tmp_path / "store"
+        create_store(root).put(make_record("aa" + "1" * 62))
+        refresher = ShardedResultStore(root)
+        refresher.load()
+        # the dead writer: a complete record line, a torn index line
+        dead = make_record("aa" + "2" * 62, seed=2)
+        shard = root / "shards" / "aa"
+        offset = (shard / "records.jsonl").stat().st_size
+        line = canonical_line(dead)
+        with open(shard / "records.jsonl", "ab") as handle:
+            handle.write(line)
+        entry = record_entry(dead)
+        entry.update(offset=offset, length=len(line) - 1)
+        with open(shard / "index.jsonl", "ab") as handle:
+            handle.write(encode_index_line(entry)[:20])
+        # a second writer appends to the same shard
+        ShardedResultStore(root).put(make_record("aa" + "3" * 62, seed=3))
+
+        refresher.refresh_entries()
+        fresh = ShardedResultStore(root)
+        fresh.load()
+        assert sorted(refresher.hashes()) == sorted(fresh.hashes())
+        assert len(fresh) == 3
+        assert refresher.leaderboard() == fresh.leaderboard()
+        index_lines = len((shard / "index.jsonl").read_bytes().splitlines())
+        for _ in range(3):
+            ShardedResultStore(root).load()
+            assert len((shard / "index.jsonl").read_bytes()
+                       .splitlines()) == index_lines
+
+    def test_glued_index_line_rebuilds_the_shard_once(self, sharded_store):
+        """An index already damaged by a glued append (older writers did
+        not close torn lines) heals on the first load."""
+        expected = query_fingerprint(sharded_store)
+        index_path = next(iter(sharded_store.path.glob("*/index.jsonl")))
+        lines = index_path.read_bytes().splitlines(keepends=True)
+        index_path.write_bytes(lines[0][:15] + b"".join(lines))
+        assert query_fingerprint(ShardedResultStore(sharded_store.root)) \
+            == expected
+        healed = index_path.read_bytes()
+        assert query_fingerprint(ShardedResultStore(sharded_store.root)) \
+            == expected
+        assert index_path.read_bytes() == healed
+
     def test_stale_index_entry_falls_back_to_rescan(self, sharded_store):
         # rewrite a records file under the store's feet (offsets shift)
         target = sharded_store.hashes()[0]
@@ -483,9 +791,31 @@ class TestOfflineCli:
         assert main(["svc", "compact", "--store", str(dst)]) == 0
         assert "dropped 0 superseded" in capsys.readouterr().out
 
-    def test_compact_refuses_flat_stores(self, flat_store):
-        with pytest.raises(SystemExit, match="not a sharded store"):
-            main(["svc", "compact", "--store", str(flat_store.root)])
+    def test_compact_migrates_flat_stores_first(self, flat_store, capsys):
+        with pytest.warns(UserWarning, match="migrated"):
+            assert main(["svc", "compact", "--store",
+                         str(flat_store.root)]) == 0
+        assert "dropped 0 superseded" in capsys.readouterr().out
+        assert (flat_store.root / "records.jsonl.migrated").exists()
+        assert sorted(ShardedResultStore(flat_store.root).hashes()) == \
+            sorted(flat_store.hashes())
+
+    def test_query_and_leaderboard_migrate_a_flat_root(self, flat_store,
+                                                       tmp_path):
+        out = tmp_path / "query.json"
+        with pytest.warns(UserWarning, match="migrated"):
+            assert main(["svc", "query", "--store", str(flat_store.root),
+                         "--protocol", "epidemic", "--json",
+                         str(out)]) == 0
+        assert {entry["job_hash"] for entry in
+                json.loads(out.read_text())} == \
+            brute_force(flat_store, protocol="epidemic")
+        board = tmp_path / "board.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # migrated once, not again
+            assert main(["svc", "leaderboard", "--store",
+                         str(flat_store.root), "--json", str(board)]) == 0
+        assert json.loads(board.read_text()) == flat_store.leaderboard()
 
     def test_migrate_refuses_missing_source(self, tmp_path):
         with pytest.raises(SystemExit, match="no store"):
