@@ -12,8 +12,10 @@ Two sections share one ``BENCH_sim.json`` artifact:
   DES engine and the vector kernel race on an ``rwp-city-*`` scenario
   (``rwp-city-1k`` in ``--quick`` mode, ``rwp-city-10k`` in full mode).
   The vector run is verified delivery-stream-equal to DES before any
-  timing is recorded, and the ``vector_speedup`` ratio is enforced by
-  ``python -m repro obs bench-check`` against the committed baseline.
+  timing is recorded.  ``vector_memory_ratio`` is the tracemalloc peak of
+  one vector run over that of one DES run (both untimed, extra runs).
+  The ``vector_speedup`` and ``vector_memory_ratio`` ratios are enforced
+  by ``python -m repro obs bench-check`` against the committed baseline.
 
 Medians are written to ``BENCH_sim.json`` at the repo root so the numbers
 are tracked across PRs::
@@ -25,11 +27,13 @@ are tracked across PRs::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
@@ -61,6 +65,17 @@ def _time_runs(factory, repeats: int) -> list:
         factory()
         samples.append(time.perf_counter() - started)
     return samples
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees allocated during one call of *run*."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _streams_equal(reference, candidate) -> bool:
@@ -161,6 +176,15 @@ def _bench_vector_kernel(quick: bool) -> dict:
           f"{min(vector_samples):.2f} s)")
     if equal and speedup is not None:
         print(f"  vector_speedup {speedup:5.1f}x   delivery streams equal")
+    memory_ratio = None
+    if equal:
+        # untimed extra runs: tracemalloc slows both engines down
+        des_peak = _traced_peak(_des_run)
+        vector_peak = _traced_peak(_vector_run)
+        memory_ratio = vector_peak / des_peak
+        print(f"  traced peak: des {des_peak / 2**20:.1f} MiB   vector "
+              f"{vector_peak / 2**20:.1f} MiB   vector_memory_ratio "
+              f"{memory_ratio:.3f}")
 
     record = {
         "scenario": scenario.name,
@@ -177,6 +201,8 @@ def _bench_vector_kernel(quick: bool) -> dict:
     }
     if equal and speedup is not None:
         record["vector_speedup"] = speedup
+    if memory_ratio is not None:
+        record["vector_memory_ratio"] = memory_ratio
     return record
 
 

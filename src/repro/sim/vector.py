@@ -7,12 +7,15 @@ restructures the hot loop around flat arrays and bitmasks so that
 city-scale traces (10^4–10^5 nodes, 10^5+ contacts) run an order of
 magnitude faster:
 
-* **sorted array timeline** — without bandwidth/channel/churn the event
+* **sorted compact timeline** — without bandwidth/channel/churn the event
   set is fully known up front (contact starts/ends, creations, expiries),
-  so the heap disappears: the timeline is built as flat numpy arrays of
-  ``(time, kind, sequence)``, lexsorted once, and replayed as a plain
-  list walk.  The encoding (kinds, sequence assignment) is byte-identical
-  to the DES engine's initial event load, so ties resolve identically.
+  so the heap disappears: the timeline is built as compact numpy columns
+  (``float64`` times, ``int8`` kinds, ``int32`` endpoints, ``int64`` pair
+  keys), stably lexsorted once on ``(time, kind)``, and replayed in
+  fixed-size chunks, each slice walked as plain Python lists.  The
+  encoding (kinds, sequence assignment) is byte-identical to the DES
+  engine's initial event load, so ties resolve identically, also across
+  chunk edges.
 * **per-node candidate bitmasks** — messages are interned to dense
   indices (the :mod:`repro.core.fastpath` idiom) and each node tracks the
   set of live copies it carries and the set of messages it ever held as
@@ -111,6 +114,19 @@ from .engine import (
 from .events import CONTACT_END, CONTACT_START, CREATE, EXPIRE
 
 __all__ = ["VectorSimulator", "simulate_vector"]
+
+#: events per replay chunk: the timeline stays in compact numpy columns
+#: and the loops convert one slice of this many events to Python scalars
+#: at a time
+_CHUNK = 8192
+
+
+def _chunks(timeline):
+    """The timeline's ``(time, kind, a, b, pair)`` events as plain Python
+    scalars, one zipped :data:`_CHUNK`-event slice at a time."""
+    chunk = _CHUNK
+    for low in range(0, len(timeline[0]), chunk):
+        yield zip(*[column[low:low + chunk].tolist() for column in timeline])
 
 
 class VectorSimulator:
@@ -278,29 +294,29 @@ class VectorSimulator:
                 and telemetry is None):
             self._hot_loop(timeline, message_list)
         else:
-            times, kinds, ev_a, ev_b, ev_pair = timeline
             on_contact_start = self._on_contact_start
             on_contact_end = self._on_contact_end
             on_create = self._on_create
             on_expire = self._on_expire
-            remaining = len(times)
-            for time, kind, a, b, pair in zip(times, kinds, ev_a, ev_b,
-                                              ev_pair):
-                if kind == CONTACT_START:
-                    on_contact_start(time, a, b, pair)
-                elif kind == CONTACT_END:
-                    on_contact_end(time, a, b, pair)
-                elif kind == CREATE:
-                    on_create(time, message_list[a])
-                else:  # EXPIRE
-                    on_expire(time, message_list[a])
-                if telemetry is not None:
-                    remaining -= 1
-                    if telemetry.event(_KIND_NAMES[kind], remaining):
-                        telemetry.sample_buffers(
-                            time,
-                            sum(self._buf_used) if self._fastbuf
-                            else sum(buffer.used for buffer in self._buffers))
+            remaining = len(timeline[0])
+            for events in _chunks(timeline):
+                for time, kind, a, b, pair in events:
+                    if kind == CONTACT_START:
+                        on_contact_start(time, a, b, pair)
+                    elif kind == CONTACT_END:
+                        on_contact_end(time, a, b, pair)
+                    elif kind == CREATE:
+                        on_create(time, message_list[a])
+                    else:  # EXPIRE
+                        on_expire(time, message_list[a])
+                    if telemetry is not None:
+                        remaining -= 1
+                        if telemetry.event(_KIND_NAMES[kind], remaining):
+                            telemetry.sample_buffers(
+                                time,
+                                sum(self._buf_used) if self._fastbuf
+                                else sum(buffer.used
+                                         for buffer in self._buffers))
         if telemetry is not None:
             telemetry.finish()
         if buffered is not None:
@@ -336,20 +352,23 @@ class VectorSimulator:
     # timeline construction
     # ------------------------------------------------------------------
     def _build_timeline(self, messages: Sequence[Message]):
-        """The full event set as parallel flat arrays, sorted once.
+        """The full event set as compact numpy columns, sorted once.
 
         Events are numbered in the exact order the DES engine pushes its
         initial load (per contact: start then end; then creations; then
         expiries) and sorted by ``(time, kind, sequence)`` — the same key
-        the heap orders by — via one numpy lexsort, so the replay order is
-        identical to the DES engine's pop order.
+        the heap orders by — via one stable numpy lexsort on
+        ``(time, kind)``: stability makes construction order the
+        sequence tie-break, so the replay order is identical to the DES
+        engine's pop order.
 
-        Returns five parallel lists *already permuted into replay order*:
-        times, kinds, and three ``int`` operand columns (interned endpoint
-        ``a``, endpoint ``b``, packed canonical pair key — or the message
-        index, for creation/expiry events).  The dispatch loop walks them
-        strictly sequentially, so the per-event state reads prefetch
-        instead of chasing a contact object per event.
+        Returns five parallel arrays *already permuted into replay order*:
+        ``float64`` times, ``int8`` kinds, ``int32`` interned endpoints
+        ``a`` and ``b`` (column ``a`` carries the message index of a
+        creation/expiry event) and the ``int64`` packed canonical pair
+        key.  The dispatch loops walk them in :data:`_CHUNK`-event slices
+        (:func:`_chunks`), so only one slice at a time exists as Python
+        scalars.
         """
         starts, ends, a_labels, b_labels = self._trace.as_arrays()
         num_contacts = len(starts)
@@ -380,46 +399,38 @@ class VectorSimulator:
             if expiry is not None
         ]
         split = 2 * num_contacts
-        total = split + len(messages) + len(expiring)
-        time_array = np.empty(total, dtype=np.float64)
-        kind_array = np.empty(total, dtype=np.int64)
-        a_event = np.empty(total, dtype=np.int64)
-        b_event = np.empty(total, dtype=np.int64)
-        pair_event = np.empty(total, dtype=np.int64)
-        if num_contacts:
-            time_array[0:split:2] = starts
-            time_array[1:split:2] = np.maximum(ends, starts)
-            kind_array[0:split:2] = CONTACT_START
-            kind_array[1:split:2] = CONTACT_END
-            a_event[0:split:2] = a_index
-            a_event[1:split:2] = a_index
-            b_event[0:split:2] = b_index
-            b_event[1:split:2] = b_index
-            pair_event[0:split:2] = pair_index
-            pair_event[1:split:2] = pair_index
-        for offset, message in enumerate(messages):
-            position = split + offset
-            time_array[position] = message.creation_time
-            kind_array[position] = CREATE
-            a_event[position] = offset      # message index rides in column a
-            b_event[position] = 0
-            pair_event[position] = 0
         base = split + len(messages)
-        for offset, (message_index, expiry) in enumerate(expiring):
-            position = base + offset
-            time_array[position] = expiry
-            kind_array[position] = EXPIRE
-            a_event[position] = message_index
-            b_event[position] = 0
-            pair_event[position] = 0
-        # least-significant key first; the arange tie-breaker is the
-        # sequence number (construction order), making the sort total
-        order = np.lexsort((np.arange(total), kind_array, time_array))
-        return (time_array[order].tolist(),   # plain floats/ints, not np
-                kind_array[order].tolist(),
-                a_event[order].tolist(),
-                b_event[order].tolist(),
-                pair_event[order].tolist())
+        total = base + len(expiring)
+        times = np.empty(total, dtype=np.float64)
+        kinds = np.empty(total, dtype=np.int8)
+        ev_a = np.empty(total, dtype=np.int32)
+        ev_b = np.zeros(total, dtype=np.int32)
+        ev_pair = np.zeros(total, dtype=np.int64)
+        times[0:split:2] = starts
+        times[1:split:2] = np.maximum(ends, starts)
+        kinds[0:split:2] = CONTACT_START
+        kinds[1:split:2] = CONTACT_END
+        for column, values in ((ev_a, a_index), (ev_b, b_index),
+                               (ev_pair, pair_index)):
+            column[0:split:2] = values
+            column[1:split:2] = values
+        del a_index, b_index, pair_index
+        times[split:base] = [message.creation_time for message in messages]
+        kinds[split:base] = CREATE
+        ev_a[split:base] = np.arange(len(messages))
+        times[base:] = [expiry for _, expiry in expiring]
+        kinds[base:] = EXPIRE
+        ev_a[base:] = [message_index for message_index, _ in expiring]
+        # least-significant key first; lexsort is stable, so equal
+        # (time, kind) keys keep construction (sequence) order
+        order = np.lexsort((kinds, times))
+        # permute one column at a time, releasing each unsorted column
+        # before the next is copied: the transient is one column wide
+        columns = [times, kinds, ev_a, ev_b, ev_pair]
+        del times, kinds, ev_a, ev_b, ev_pair
+        for position in range(len(columns)):
+            columns[position] = columns[position][order]
+        return tuple(columns)
 
     # ------------------------------------------------------------------
     # event handlers (mirroring repro.sim.engine.DesSimulator)
@@ -436,7 +447,6 @@ class VectorSimulator:
         fast-path flag set — which is exactly the precondition for
         entering it.  On the flood gate a contact's offer floods.
         """
-        times, kinds, ev_a, ev_b, ev_pair = timeline
         counts = self._active_counts
         counts_get = counts.get
         counts_pop = counts.pop
@@ -446,31 +456,32 @@ class VectorSimulator:
         offer = self._offer_flood if self._flooding else self._offer
         on_create = self._on_create
         on_expire = self._on_expire
-        for time, kind, a, b, pair in zip(times, kinds, ev_a, ev_b, ev_pair):
-            if kind == CONTACT_START:
-                counts[pair] = counts_get(pair, 0) + 1
-                active_peers[a].add(b)
-                active_peers[b].add(a)
-                # the second screen rereads the stop mask because the
-                # first direction may deliver
-                cand = carried_bits[a] & ~(ever_bits[b] | self._stop_bits)
-                if cand:
-                    offer(a, b, time, cand)
-                cand = carried_bits[b] & ~(ever_bits[a] | self._stop_bits)
-                if cand:
-                    offer(b, a, time, cand)
-            elif kind == CONTACT_END:
-                remaining = counts_get(pair, 0) - 1
-                if remaining <= 0:
-                    counts_pop(pair, None)
-                    active_peers[a].discard(b)
-                    active_peers[b].discard(a)
-                else:
-                    counts[pair] = remaining
-            elif kind == CREATE:
-                on_create(time, message_list[a])
-            else:  # EXPIRE
-                on_expire(time, message_list[a])
+        for events in _chunks(timeline):
+            for time, kind, a, b, pair in events:
+                if kind == CONTACT_START:
+                    counts[pair] = counts_get(pair, 0) + 1
+                    active_peers[a].add(b)
+                    active_peers[b].add(a)
+                    # the second screen rereads the stop mask because the
+                    # first direction may deliver
+                    cand = carried_bits[a] & ~(ever_bits[b] | self._stop_bits)
+                    if cand:
+                        offer(a, b, time, cand)
+                    cand = carried_bits[b] & ~(ever_bits[a] | self._stop_bits)
+                    if cand:
+                        offer(b, a, time, cand)
+                elif kind == CONTACT_END:
+                    remaining = counts_get(pair, 0) - 1
+                    if remaining <= 0:
+                        counts_pop(pair, None)
+                        active_peers[a].discard(b)
+                        active_peers[b].discard(a)
+                    else:
+                        counts[pair] = remaining
+                elif kind == CREATE:
+                    on_create(time, message_list[a])
+                else:  # EXPIRE
+                    on_expire(time, message_list[a])
 
     def _on_contact_start(self, time, a: int, b: int, pair: int) -> None:
         if self._run_tracer is not None:

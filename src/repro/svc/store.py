@@ -228,13 +228,20 @@ class ShardedResultStore:
         if flat.exists():
             self._migrate_flat(flat)
 
-    def _load_shard(self, shard: _Shard) -> List[Dict[str, object]]:
-        """Absorb the shard's unread index lines, then index any record
-        bytes they do not cover; returns the entries that took effect."""
+    def _load_shard(self, shard: _Shard,
+                    heal: bool = True) -> List[Dict[str, object]]:
+        """Absorb the shard's unread index lines, then the record lines
+        they do not cover; returns the entries that took effect.
+
+        With *heal* the recovered lines are also appended to the index.
+        A polling refresh passes False: a live writer may sit between its
+        record and index appends, so the refresher adopts the record in
+        memory only and the writer's own index line re-reads as a no-op.
+        """
         fresh = self._consume_index(shard)
         if fresh is None:
             return self._rescan_shard(shard)
-        return fresh + self._recover_tail(shard)
+        return fresh + self._adopt_tail(shard, heal)
 
     def _consume_index(self, shard: _Shard) \
             -> Optional[List[Dict[str, object]]]:
@@ -245,7 +252,7 @@ class ShardedResultStore:
         one glued onto): only the records file can say what it described.
         A partial final line is left unconsumed — a writer may still be
         mid-append, and a killed one's record is recovered by
-        :meth:`_recover_tail`.
+        :meth:`_adopt_tail`.
         """
         try:
             size = shard.index_path.stat().st_size
@@ -311,12 +318,15 @@ class ShardedResultStore:
             offset += len(chunk) + 1
         return entries
 
-    def _recover_tail(self, shard: _Shard) -> List[Dict[str, object]]:
-        """Index any record bytes the index does not cover (self-heal)."""
+    def _adopt_tail(self, shard: _Shard,
+                    heal: bool) -> List[Dict[str, object]]:
+        """Absorb the record lines past the index's coverage, appending
+        their index lines first when *heal* is set (self-heal)."""
         recovered = self._scan_records(shard, shard.covered)
         if not recovered:
             return []
-        self._append_index(shard, recovered)
+        if heal:
+            self._append_index(shard, recovered)
         return self._adopt(shard, recovered)
 
     def _rescan_shard(self, shard: _Shard) -> List[Dict[str, object]]:
@@ -346,10 +356,10 @@ class ShardedResultStore:
 
     def _adopt(self, shard: _Shard, entries: List[Dict[str, object]]) \
             -> List[Dict[str, object]]:
-        """Absorb index *entries* this handle just wrote; return those that
-        took effect.  ``index_size`` is left alone: other writers' lines
-        may sit between it and ours, and the next refresh must read them
-        (ours then re-read as no-ops)."""
+        """Absorb index *entries* this handle wrote or scanned; return
+        those that took effect.  ``index_size`` is left alone: other
+        writers' lines may sit between it and ours, and the next refresh
+        must read them (ours then re-read as no-ops)."""
         taken = []
         for entry in entries:
             if self._absorb(entry):
@@ -475,7 +485,9 @@ class ShardedResultStore:
         parsed.  A partial final index line (a writer caught mid-append)
         is left for the next poll; a damaged interior line rebuilds its
         shard's index from the records file; a shrunken index or a bumped
-        compaction generation triggers a full reload.
+        compaction generation triggers a full reload.  Record lines past
+        a fully read index (a writer between its two appends, or killed
+        there) are adopted in memory, without an index append.
         """
         if not self._loaded:
             self.load()
@@ -491,7 +503,8 @@ class ShardedResultStore:
         if self.path.is_dir():
             for directory in sorted(self.path.iterdir()):
                 if directory.is_dir() and directory.name not in known:
-                    fresh.extend(self._load_shard(self._shard(directory.name)))
+                    fresh.extend(self._load_shard(
+                        self._shard(directory.name), heal=False))
         for prefix in sorted(known):
             shard = self._shards[prefix]
             try:
@@ -506,6 +519,9 @@ class ShardedResultStore:
             appended = self._consume_index(shard)
             if appended is None:
                 appended = self._rescan_shard(shard)
+            elif shard.index_size >= size:
+                # no index line is half-written, so none is in flight
+                appended += self._adopt_tail(shard, heal=False)
             fresh.extend(appended)
         return fresh
 

@@ -113,6 +113,31 @@ class TestStoreRefresh:
         assert index.stat().st_ino == inode
         assert index.read_bytes().endswith(b"\n" + line)
 
+    def test_unindexed_record_is_seen_without_growing_the_index(self,
+                                                                tmp_path):
+        """A record line whose index append has not landed (a writer
+        between its two appends, or killed there) reaches a refresh-only
+        handle, which appends no index line: the writer's own line later
+        re-reads as a no-op and the index holds it once."""
+        writer = ShardedResultStore(tmp_path / "s")
+        writer.put(_record("aa1"))
+        reader = ShardedResultStore(tmp_path / "s")
+        reader.load()
+        line = _append_record(reader, _record("aa2"))
+        index = _shard_dir(reader, "aa2") / "index.jsonl"
+        before = index.read_bytes()
+        assert _hashes(reader.refresh_entries()) == ["aa2"]
+        assert reader.get("aa2") == _record("aa2")
+        assert index.read_bytes() == before
+        _append_raw(reader, "aa2", line)      # the writer's index append
+        assert reader.refresh_entries() == []
+        assert [raw for raw in index.read_bytes().splitlines()
+                if b'"aa2"' in raw] == [line.rstrip(b"\n")]
+        # a shard first seen by a refresh is adopted the same way
+        _append_record(reader, _record("bb1"))
+        assert _hashes(reader.refresh_entries()) == ["bb1"]
+        assert not (_shard_dir(reader, "bb1") / "index.jsonl").exists()
+
     def test_complete_line_without_trailing_newline_is_consumed(self, tmp_path):
         writer = ShardedResultStore(tmp_path / "s")
         writer.put(_record("aa1"))

@@ -17,7 +17,10 @@ same-timestamp contacts must tie-break exactly like the DES event heap.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +31,7 @@ from repro.datasets import PAPER_DATASET_KEYS, load_dataset
 from repro.forwarding import Message, PoissonMessageWorkload
 from repro.obs import JsonlTracer, RecordingTracer
 from repro.routing.registry import protocol_by_name, protocol_catalogue, protocol_names
+from repro.scenario import GridRandomWaypointTraceSpec
 from repro.sim import (
     DesSimulator,
     ResourceConstraints,
@@ -38,6 +42,7 @@ from repro.sim import (
     scenario_names,
     simulate_vector,
 )
+from repro.sim import vector
 from repro.sim.faults import ChannelSpec
 
 _SCALE = 0.15
@@ -47,6 +52,8 @@ FASTPATH_PROTOCOLS = [name for name in protocol_names()
                       if protocol_by_name(name).vector_fastpath]
 HOOK_ONLY_PROTOCOLS = [name for name in protocol_names()
                        if not protocol_by_name(name).vector_fastpath]
+#: replay chunk sizes: tiny ones put same-timestamp ties across chunk edges
+CHUNK_SIZES = st.sampled_from([1, 2, 3, vector._CHUNK])
 
 
 def _assert_results_equal(reference, candidate, context=""):
@@ -191,32 +198,35 @@ def tie_heavy_workloads(draw):
        stop_on_delivery=st.booleans(),
        uniform=st.booleans(),
        sizes=st.lists(st.sampled_from([0.1, 0.7, 1.0, 2.5]),
-                      min_size=6, max_size=6))
+                      min_size=6, max_size=6),
+       chunk=CHUNK_SIZES)
 def test_same_timestamp_batches_tie_break_like_the_des_heap(
         payload, protocol_name, copy_semantics, stop_on_delivery, uniform,
-        sizes):
+        sizes, chunk):
     """Simultaneous contact starts/ends and creations must process in the
     DES event-heap order — deliveries, hops, copies and every stat counter
     agree for every fast-path protocol, on both sides of the flood gate
     (copy or hand-off, with or without stop-on-delivery, one message size
-    or mixed sizes)."""
+    or mixed sizes), whichever replay chunk a tie straddles."""
     trace, messages = payload
     messages = [dataclasses.replace(m, size=sizes[0] if uniform else size)
                 for m, size in zip(messages, sizes)]
-    reference, candidate = _run_both(
-        trace, messages, protocol_name, copy_semantics=copy_semantics,
-        stop_on_delivery=stop_on_delivery)
+    with mock.patch.object(vector, "_CHUNK", chunk):
+        reference, candidate = _run_both(
+            trace, messages, protocol_name, copy_semantics=copy_semantics,
+            stop_on_delivery=stop_on_delivery)
     _assert_results_equal(reference, candidate, context=protocol_name)
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(payload=tie_heavy_workloads())
-def test_hook_fallback_agrees_with_des_on_random_workloads(payload):
+@given(payload=tie_heavy_workloads(), chunk=CHUNK_SIZES)
+def test_hook_fallback_agrees_with_des_on_random_workloads(payload, chunk):
     """The lifecycle-hook fallback path, property-tested on a protocol
-    with real inter-contact state."""
+    with real inter-contact state, at every replay chunk size."""
     trace, messages = payload
-    reference, candidate = _run_both(trace, messages, "PRoPHET")
+    with mock.patch.object(vector, "_CHUNK", chunk):
+        reference, candidate = _run_both(trace, messages, "PRoPHET")
     _assert_results_equal(reference, candidate, context="PRoPHET")
 
 
@@ -225,18 +235,21 @@ def test_hook_fallback_agrees_with_des_on_random_workloads(payload):
 # ----------------------------------------------------------------------
 def test_traced_vector_run_is_byte_identical_to_des(tmp_path):
     """The buffered tracer preserves the exact event stream: JSONL files
-    from both engines match byte for byte."""
+    from both engines match byte for byte, also when the general loop
+    replays the timeline one event per chunk."""
     trace = load_dataset("conext06-9-12", scale=_SCALE, contact_scale=_SCALE)
     messages = _workload(trace, seed=53)
     des_path = tmp_path / "des.jsonl"
-    vec_path = tmp_path / "vec.jsonl"
     with JsonlTracer(des_path) as tracer:
         DesSimulator(trace, protocol_by_name("Epidemic"),
                      tracer=tracer).run(messages)
-    with JsonlTracer(vec_path) as tracer:
-        VectorSimulator(trace, protocol_by_name("Epidemic"),
-                        tracer=tracer).run(messages)
-    assert des_path.read_bytes() == vec_path.read_bytes()
+    for chunk in (vector._CHUNK, 1):
+        vec_path = tmp_path / f"vec-{chunk}.jsonl"
+        with mock.patch.object(vector, "_CHUNK", chunk), \
+                JsonlTracer(vec_path) as tracer:
+            VectorSimulator(trace, protocol_by_name("Epidemic"),
+                            tracer=tracer).run(messages)
+        assert des_path.read_bytes() == vec_path.read_bytes(), chunk
 
 
 def test_code_path_reports_the_gate_each_run_takes():
@@ -266,6 +279,30 @@ def test_code_path_reports_the_gate_each_run_takes():
     assert path(tracer=RecordingTracer()) == "fastpath"
     assert path("PRoPHET") == "hook"
     assert path(constraints=ResourceConstraints(bandwidth=2.0)) == "delegate"
+
+
+def test_timeline_peak_memory_per_event_stays_compact():
+    """The replay keeps the timeline in compact numpy columns and builds
+    Python scalars one chunk at a time.  Direct Delivery lands no copies,
+    so the run's traced peak is the timeline: about 76 B per event here,
+    where whole-run Python lists took about 235 B."""
+    trace = GridRandomWaypointTraceSpec(
+        num_nodes=4000, duration=600.0, width=2000.0, height=2000.0,
+        name="memory").build(seed=3)
+    nodes = sorted(trace.nodes)
+    messages = [Message(id=i, source=nodes[i], destination=nodes[-1 - i],
+                        creation_time=float(i)) for i in range(20)]
+    events = 2 * len(trace) + len(messages)
+    assert events >= 10 * vector._CHUNK
+    simulator = VectorSimulator(trace, protocol_by_name("Direct Delivery"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        simulator.run(messages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / events < 150.0, f"{peak / events:.1f} B/event"
 
 
 def test_protocol_catalogue_reports_vector_support():
