@@ -17,6 +17,8 @@ Run with::
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from repro.analysis import (
@@ -39,12 +41,12 @@ def main() -> None:
     print(f"dataset: {trace.name}  ({trace.num_nodes} nodes, {len(trace)} contacts)")
     print(f"messages: {NUM_MESSAGES}, explosion threshold: {N_EXPLOSION} paths\n")
 
-    # parallel=True fans the messages out over a process pool; each worker
+    # workers > 1 fans the messages out over a process pool; each worker
     # builds the space-time graph once and the records come back in message
-    # order, identical to a serial run.
+    # order, identical to an in-process (workers=1) run.
     records = run_path_explosion_study(trace, num_messages=NUM_MESSAGES,
                                        n_explosion=N_EXPLOSION, seed=11,
-                                       parallel=True)
+                                       workers=os.cpu_count() or 1)
     delivered = [r for r in records if r.delivered]
     exploded = [r for r in records if r.exploded]
     print(f"delivered: {len(delivered)}/{len(records)}   "

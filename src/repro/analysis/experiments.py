@@ -45,9 +45,10 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# per-worker state for the parallel explosion study: the space-time graph
-# (and its fast-path step tables) is built once per worker process by the
-# pool initializer, then shared by every message analysed in that worker.
+# per-worker state for the explosion study: the space-time graph (and its
+# fast-path step tables) is built once per worker by the pool initializer —
+# in this process when workers=1 — then shared by every message analysed
+# there.
 # ----------------------------------------------------------------------
 _EXPLOSION_WORKER: Dict[str, PathEnumerator] = {}
 
@@ -64,6 +65,8 @@ def _analyze_message_job(
     job: Tuple[NodeId, NodeId, float, int, bool],
 ) -> ExplosionRecord:
     source, destination, creation_time, n_explosion, keep_paths = job
+    # analyze_message is looked up in this module at call time, so a
+    # wrapper patched onto the module (a per-message timer) sees every call
     return analyze_message(_EXPLOSION_WORKER["enumerator"], source, destination,
                            creation_time, n_explosion=n_explosion,
                            keep_paths=keep_paths)
@@ -78,8 +81,7 @@ def run_path_explosion_study(
     keep_paths: bool = False,
     messages: Optional[Sequence[Tuple[NodeId, NodeId, float]]] = None,
     engine: str = "fast",
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
 ) -> List[ExplosionRecord]:
     """Enumerate paths for a batch of random messages on one dataset.
 
@@ -88,29 +90,24 @@ def run_path_explosion_study(
     the study completes in benchmark-friendly time; the threshold is recorded
     in every returned :class:`ExplosionRecord`.
 
-    With ``parallel=True`` the messages are distributed over a process pool
-    of *n_workers* (default: CPU count); each worker builds the space-time
-    graph once and reuses it for all of its messages.  Records are returned
-    in message order either way, so serial and parallel runs are
-    interchangeable.
+    ``workers=N > 1`` distributes the messages over a pool of N
+    processes; each worker builds the space-time graph once and reuses it
+    for all of its messages.  Records are returned in message order for
+    every worker count, so the runs are interchangeable.
     """
     if messages is None:
         messages = random_messages(trace, num_messages, seed=seed)
     jobs = [(source, destination, creation_time, n_explosion, keep_paths)
             for source, destination, creation_time in messages]
-    if parallel and len(jobs) > 1:
+    try:
         return process_map(
-            _analyze_message_job, jobs, n_workers=n_workers,
+            _analyze_message_job, jobs, workers=workers,
             initializer=_init_explosion_worker,
             initargs=(trace, delta, max(n_explosion, 1), engine),
         )
-    graph = SpaceTimeGraph(trace, delta=delta)
-    enumerator = PathEnumerator(graph, k=max(n_explosion, 1), engine=engine)
-    return [
-        analyze_message(enumerator, source, destination, creation_time,
-                        n_explosion=n_explosion, keep_paths=keep_paths)
-        for source, destination, creation_time in messages
-    ]
+    finally:
+        # an in-process map built the enumerator here: don't pin its graph
+        _EXPLOSION_WORKER.clear()
 
 
 def run_forwarding_study(
@@ -119,8 +116,7 @@ def run_forwarding_study(
     message_rate: float = 0.25,
     num_runs: int = 1,
     seed: Union[int, np.random.Generator, None] = 0,
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
 ) -> ComparisonResult:
     """Run the Section 6 forwarding comparison on one dataset.
 
@@ -129,16 +125,15 @@ def run_forwarding_study(
     uniformly random endpoints.  Results over multiple runs are pooled by the
     returned :class:`ComparisonResult`.
 
-    ``parallel=True`` fans the (run, algorithm) simulations out over a
-    process pool; workloads are still drawn sequentially in the parent, so
-    results match a serial run exactly.
+    ``workers=N > 1`` fans the (run, algorithm) simulations out over a pool
+    of N processes; workloads are still drawn sequentially in the parent,
+    so results match an in-process run exactly.
     """
     if algorithms is None:
         algorithms = default_algorithms()
     workload = PoissonMessageWorkload(rate=message_rate)
     return compare_algorithms(trace, algorithms, workload=workload,
-                              num_runs=num_runs, seed=seed,
-                              parallel=parallel, n_workers=n_workers)
+                              num_runs=num_runs, seed=seed, workers=workers)
 
 
 def run_constraint_sweep(
@@ -147,8 +142,7 @@ def run_constraint_sweep(
     values: Sequence[Optional[float]],
     num_runs: Optional[int] = None,
     seed: Optional[int] = None,
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
 ):
     """Grid one resource-constraint axis of a named simulation scenario.
 
@@ -165,7 +159,7 @@ def run_constraint_sweep(
     from ..sim.runner import sweep_scenario  # local import: sim builds on analysis
 
     return sweep_scenario(scenario, parameter, values, num_runs=num_runs,
-                          seed=seed, parallel=parallel, n_workers=n_workers)
+                          seed=seed, workers=workers)
 
 
 def message_delays_by_algorithm(

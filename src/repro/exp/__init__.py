@@ -14,9 +14,9 @@ are thin adapters over it (byte-identical to their historical outputs), and
 with resumable, incrementally extensible runs.
 
 Attributes are loaded lazily (PEP 562) so that low-level modules — e.g.
-:mod:`repro.analysis.parallel`, which re-exports the shared pool backend —
-can import :mod:`repro.exp.pool` without dragging in the whole simulation
-stack.
+:mod:`repro.analysis.experiments` and :mod:`repro.forwarding.metrics`, which
+fan out through the shared pool backend — can import :mod:`repro.exp.pool`
+without dragging in the whole simulation stack.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ _EXPORTS = {
     "experiment_status": ".orchestrator",
     "canonical": ".hashing",
     "stable_hash": ".hashing",
-    "default_worker_count": ".pool",
     "process_map": ".pool",
 }
 
@@ -64,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         run_experiment,
     )
     from .plan import ExperimentPlan, PlannedJob, build_plan
-    from .pool import default_worker_count, process_map
+    from .pool import process_map
     from .records import (
         RECORD_SCHEMA,
         decode_failure,

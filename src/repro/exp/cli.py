@@ -2,7 +2,7 @@
 
 Wired into the main parser by :mod:`repro.sim.cli`::
 
-    python -m repro exp run spec.json [--store DIR] [--parallel] [...]
+    python -m repro exp run spec.json [--store DIR] [--workers N] [...]
     python -m repro exp resume spec.json [--store DIR] [...]
     python -m repro exp status spec.json [--store DIR]
 
@@ -35,7 +35,22 @@ from ..analysis.tables import format_table
 from .spec import ExperimentSpec
 from .store import DEFAULT_STORE_ROOT
 
-__all__ = ["add_exp_commands", "dispatch_exp_command"]
+__all__ = ["add_exp_commands", "add_workers_option", "dispatch_exp_command"]
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def add_workers_option(parser: argparse.ArgumentParser, jobs: str) -> None:
+    """The one fan-out flag every running command shares."""
+    parser.add_argument("--workers", type=_positive_int, default=1,
+                        metavar="N",
+                        help=f"fan {jobs} over a pool of N worker processes "
+                             "(default: 1, in this process)")
 
 
 def add_exp_commands(commands: argparse._SubParsersAction) -> None:
@@ -58,10 +73,7 @@ def add_exp_commands(commands: argparse._SubParsersAction) -> None:
     ):
         command = exp_commands.add_parser(name, parents=[common],
                                           help=help_text)
-        command.add_argument("--parallel", action="store_true",
-                             help="fan jobs over a process pool")
-        command.add_argument("--workers", type=int, default=None,
-                             help="process-pool size (default: CPU count)")
+        add_workers_option(command, "jobs")
         command.add_argument("--no-store", action="store_true",
                              help="purely in-memory run (nothing persisted, "
                                   "nothing resumed)")
@@ -193,9 +205,8 @@ def _cmd_exp_run(args: argparse.Namespace, write_json) -> int:
         raise SystemExit(f"invalid experiment spec {args.spec}: "
                          f"{_message(error)}")
     obs = _obs_config(args)
-    result = run_experiment(spec, store=store, parallel=args.parallel,
-                            n_workers=args.workers, resume=not args.fresh,
-                            plan=plan, policy=policy,
+    result = run_experiment(spec, store=store, workers=args.workers,
+                            resume=not args.fresh, plan=plan, policy=policy,
                             retry_failed=args.retry_failed, obs=obs)
     print(f"experiment: {spec.name} — {len(result.plan)} jobs over "
           f"{len(result.plan.scenario_names())} scenario(s)")

@@ -36,7 +36,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .pool import _probe_worker, default_worker_count
+from .pool import _pool_size, _probe_worker
 
 __all__ = ["FaultPolicy", "JobFailure", "JobTimeout", "resilient_map"]
 
@@ -164,7 +164,7 @@ def resilient_map(
     fn: Callable,
     jobs: Iterable,
     policy: FaultPolicy,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
     on_outcome: Optional[Callable[[int, Union[object, JobFailure]], None]] = None,
@@ -173,17 +173,17 @@ def resilient_map(
 
     Returns one entry per job, order-preserved: the job's result, or a
     :class:`JobFailure` if it exhausted its retry budget.  *on_outcome*
-    runs in the parent as each job's fate becomes final.  ``n_workers=1``
+    runs in the parent as each job's fate becomes final.  ``workers=1``
     (or an environment that cannot spawn processes) runs serially in the
     parent — timeouts still apply, but a job that kills its whole process
     (``os._exit``) then takes the parent with it; the pool is the
     crash boundary.
     """
     jobs = list(jobs)
+    workers = _pool_size(workers, len(jobs))
     outcomes: List[Union[object, JobFailure]] = [None] * len(jobs)
     if not jobs:
         return outcomes
-    workers = default_worker_count(n_workers, len(jobs))
     guarded = _GuardedCall(fn, policy.timeout_s)
     failures: Dict[int, int] = {}       # index -> own failures so far
     crashes: Dict[int, int] = {}        # index -> worker crashes survived

@@ -1,13 +1,13 @@
 """Job execution: plan → shared pool → persistent store → pooled reports.
 
 :func:`execute_plan` is the single dispatch path every entrypoint routes
-through — serial or process-pool, with or without a persistent store.  Each
-worker keeps a scenario/trace cache keyed by the planner's content hashes,
-so a contact trace (and each run's message workload) is built **once per
-worker**, not once per job; chunked dispatch in :func:`repro.exp.pool.
-process_map` keeps consecutive grid jobs on the same worker to maximise
-cache hits.  Workloads are derived from the scenario's seeding contract, so
-serial and parallel execution produce identical results job for job.
+through — in this process or over a process pool, with or without a
+persistent store.  Each worker keeps a scenario/trace cache keyed by the
+planner's content hashes, so a contact trace (and each run's message
+workload) is built **once per worker**, not once per job; chunked dispatch
+in :func:`repro.exp.pool.process_map` keeps consecutive grid jobs on the
+same worker to maximise cache hits.  Workloads are derived from the scenario's seeding contract, so
+every worker count produces identical results job for job.
 
 :func:`run_experiment` adds the store protocol on top: completed jobs
 (matched by content hash) are decoded from the store instead of re-running,
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -124,8 +125,7 @@ class ExecutionOutcome:
 def execute_plan(
     plan: ExperimentPlan,
     store: Optional[ShardedResultStore] = None,
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
     resume: bool = True,
     trace_cache: bool = True,
     policy: Optional[FaultPolicy] = None,
@@ -137,12 +137,14 @@ def execute_plan(
 
     With *store* set and *resume* true, jobs whose content hash is stored
     are decoded instead of simulated, and every newly simulated job is
-    persisted (in plan order, so serial and parallel invocations write
-    byte-identical files).  ``plan.warm_traces`` / ``plan.warm_messages``
-    pre-seed the worker caches — the single-scenario adapters stash the
-    trace they already built for their own metadata there, which restores
-    the legacy "ship the trace once via the pool initializer" behaviour;
-    both are released when execution finishes.  *trace_cache* exists for
+    persisted (in plan order, so every *workers* count writes
+    byte-identical files).  ``workers=1`` runs the jobs in this process,
+    ``N > 1`` over a pool of at most N worker processes.
+    ``plan.warm_traces`` / ``plan.warm_messages`` pre-seed the worker
+    caches — the single-scenario adapters stash the trace they already
+    built for their own metadata there, which restores the legacy "ship
+    the trace once via the pool initializer" behaviour; both are released
+    when execution finishes.  *trace_cache* exists for
     benchmarking the cache itself; leave it on.
 
     With a *policy*, execution is fault-tolerant: jobs that raise, hang
@@ -255,24 +257,16 @@ def execute_plan(
 
     warm = (dict(plan.warm_traces), dict(plan.warm_messages))
     try:
+        # an in-process map (workers=1, or a pool that could not start)
+        # fills the parent's caches too — hence the finally below
         if policy is not None:
             fresh = resilient_map(_run_exp_job, payloads, policy=policy,
-                                  n_workers=(n_workers if parallel else 1),
-                                  initializer=_init_exp_worker, initargs=warm,
-                                  on_outcome=_persist_outcome)
-        elif parallel and len(payloads) > 1:
-            # process_map may degrade to an in-parent serial run, filling
-            # the parent's caches too — hence the shared finally below
-            fresh = process_map(_run_exp_job, payloads, n_workers=n_workers,
+                                  workers=workers, initializer=_init_exp_worker,
+                                  initargs=warm, on_outcome=_persist_outcome)
+        else:
+            fresh = process_map(_run_exp_job, payloads, workers=workers,
                                 initializer=_init_exp_worker, initargs=warm,
                                 on_result=_persist)
-        else:
-            _init_exp_worker(*warm)
-            fresh = []
-            for index, payload in enumerate(payloads):
-                result = _run_exp_job(payload)
-                _persist(index, result)
-                fresh.append(result)
     finally:
         # don't pin traces/workloads in the parent past this call —
         # neither in the worker caches nor on the plan's warm seeds
@@ -400,8 +394,7 @@ def _resolve_store(
 def run_experiment(
     spec: ExperimentSpec,
     store: Union[ShardedResultStore, str, None] = None,
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
     resume: bool = True,
     trace_cache: bool = True,
     plan: Optional[ExperimentPlan] = None,
@@ -417,9 +410,12 @@ def run_experiment(
     ``None`` for a purely in-memory run.  With ``resume=False`` stored
     records are ignored (every job re-runs and re-appends; the store's
     last-write-wins index keeps that consistent).  Pass a prebuilt *plan* to skip
-    re-planning (the CLI plans first so spec errors get friendly messages).
-    *policy* / *retry_failed* select the fault-tolerant executor; see
-    :func:`execute_plan`.
+    re-planning (the CLI plans first so spec errors get friendly messages;
+    the scenario runners first seed the plan's warm caches).  *workers*
+    and *policy* / *retry_failed* select the pool size and the
+    fault-tolerant executor; see :func:`execute_plan`.  *progress* first
+    receives ``("plan", None, plan)`` before any job settles, so live views
+    know the grid size, then every :func:`execute_plan` event.
 
     With an *obs* config, per-job traces and engine telemetry flow through
     :func:`execute_plan` (see there), ``obs.profile`` times the plan/
@@ -428,26 +424,22 @@ def run_experiment(
     timers and the per-job engine telemetry.
     """
     timers = PhaseTimers() if (obs is not None and obs.profile) else None
+
+    def phase(name: str):
+        return timers.phase(name) if timers is not None else nullcontext()
+
     if plan is None:
-        if timers is not None:
-            with timers.phase("plan"):
-                plan = build_plan(spec)
-        else:
+        with phase("plan"):
             plan = build_plan(spec)
+    if progress is not None:
+        progress("plan", None, plan)
     started = time.perf_counter()
-    if timers is not None:
-        with timers.phase("execute"):
-            outcome = execute_plan(plan, store=_resolve_store(store),
-                                   parallel=parallel, n_workers=n_workers,
-                                   resume=resume, trace_cache=trace_cache,
-                                   policy=policy, retry_failed=retry_failed,
-                                   obs=obs, progress=progress)
-    else:
+    with phase("execute"):
         outcome = execute_plan(plan, store=_resolve_store(store),
-                               parallel=parallel, n_workers=n_workers,
-                               resume=resume, trace_cache=trace_cache,
-                               policy=policy, retry_failed=retry_failed,
-                               obs=obs, progress=progress)
+                               workers=workers, resume=resume,
+                               trace_cache=trace_cache, policy=policy,
+                               retry_failed=retry_failed, obs=obs,
+                               progress=progress)
     elapsed = time.perf_counter() - started
     result = ExperimentResult(spec=spec, plan=plan, outcome=outcome,
                               elapsed_s=elapsed)

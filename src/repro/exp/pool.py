@@ -9,22 +9,21 @@ contact traces) is built **once per worker process** via the pool
 initializer rather than pickled per task; jobs are dispatched in chunks so
 consecutive grid jobs land on the same worker and hit its caches.
 
-Environments that forbid spawning processes (restricted sandboxes, some
-embedded interpreters) degrade gracefully: if the pool cannot be created the
-work runs serially in the parent with identical results.
-
-:mod:`repro.analysis.parallel` re-exports these helpers for backwards
-compatibility.
+Every fan-out takes one ``workers`` count: ``workers=1`` runs the jobs in
+this process (no pool is created), ``N > 1`` a pool of at most N workers,
+capped by the job count.  Environments that forbid spawning processes
+(restricted sandboxes, some embedded interpreters) degrade gracefully: if
+the pool cannot be created the work runs serially in the parent with
+identical results.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-__all__ = ["default_worker_count", "process_map"]
+__all__ = ["process_map"]
 
 _Job = TypeVar("_Job")
 _Result = TypeVar("_Result")
@@ -61,24 +60,17 @@ class _CapturingCall:
             return _JobError(error)
 
 
-def default_worker_count(n_workers: Optional[int] = None,
-                         num_jobs: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit > CPU count, capped by the job count."""
-    if n_workers is not None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be positive")
-        workers = n_workers
-    else:
-        workers = os.cpu_count() or 1
-    if num_jobs is not None:
-        workers = max(1, min(workers, num_jobs))
-    return workers
+def _pool_size(workers: int, num_jobs: int) -> int:
+    """*workers*, validated and capped by the job count."""
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    return max(1, min(workers, num_jobs))
 
 
 def process_map(
     fn: Callable[[_Job], _Result],
     jobs: Iterable[_Job],
-    n_workers: Optional[int] = None,
+    workers: int = 1,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
     on_result: Optional[Callable[[int, _Result], None]] = None,
@@ -86,8 +78,9 @@ def process_map(
     """``[fn(job) for job in jobs]`` over a process pool, preserving order.
 
     *fn* and every job must be picklable.  When *initializer* is given it
-    runs once per worker (use it to build per-worker shared state).  Falls
-    back to a serial map if the pool cannot be created.
+    runs once per worker (use it to build per-worker shared state).
+    ``workers=1`` maps in this process, running *initializer* here first;
+    so does a pool that cannot be created.
 
     *on_result* runs **in the parent**, in job order, as each result
     arrives — the orchestration layer persists RunRecords through it, so an
@@ -97,9 +90,9 @@ def process_map(
     indexing is).
     """
     jobs = list(jobs)
+    workers = _pool_size(workers, len(jobs))
     if not jobs:
         return []
-    workers = default_worker_count(n_workers, len(jobs))
     if workers == 1:
         return _serial_map(fn, jobs, initializer, initargs, on_result)
     # ProcessPoolExecutor spawns workers lazily, so a forbidden fork/spawn

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..contacts import ContactTrace
 from ..core.pair_types import PairType, RateClassification, classify_nodes
+from ..exp.pool import process_map
 from .algorithms import RoutingProtocol
 from .messages import Message, PoissonMessageWorkload
 from .simulator import DeliveryOutcome, ForwardingSimulator, SimulationResult
@@ -294,8 +295,8 @@ class ComparisonResult:
 
 
 # The trace is shared by every (run, algorithm) simulation, so it is shipped
-# to each worker process once via the pool initializer rather than pickled
-# into every job.
+# to each worker once via the pool initializer (run in this process when
+# workers=1) rather than pickled into every job.
 _SIMULATION_WORKER: Dict[str, ContactTrace] = {}
 
 
@@ -306,7 +307,7 @@ def _init_simulation_worker(trace: ContactTrace) -> None:
 def _run_simulation_job(
     job: Tuple[RoutingProtocol, Sequence[Message], str],
 ) -> SimulationResult:
-    """Top-level worker for the parallel comparison (must be picklable)."""
+    """Top-level job of the comparison (must be picklable)."""
     algorithm, run_messages, copy_semantics = job
     simulator = ForwardingSimulator(_SIMULATION_WORKER["trace"], algorithm,
                                     copy_semantics=copy_semantics)
@@ -321,8 +322,7 @@ def compare_algorithms(
     num_runs: int = 1,
     seed: Union[int, np.random.Generator, None] = None,
     copy_semantics: str = "copy",
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
 ) -> ComparisonResult:
     """Run every algorithm on identical message workloads and collect results.
 
@@ -331,10 +331,10 @@ def compare_algorithms(
     given.  Every algorithm within a run sees exactly the same messages, so
     the comparison is paired.
 
-    With ``parallel=True`` the (run, algorithm) simulations are distributed
-    over a process pool of *n_workers* (default: CPU count).  Workloads are
-    still drawn sequentially in the parent process, so the messages — and
-    therefore the results — are identical to a serial run.
+    ``workers=N > 1`` distributes the (run, algorithm) simulations over a
+    pool of N processes.  Workloads are still drawn sequentially in the
+    parent process, so the messages — and therefore the results — are
+    identical to an in-process run.
     """
     if (workload is None) == (messages is None):
         raise ValueError("provide exactly one of workload or messages")
@@ -359,18 +359,13 @@ def compare_algorithms(
         for run_messages in messages_per_run
         for algorithm in algorithms
     ]
-    if parallel and len(jobs) > 1:
-        from ..exp.pool import process_map
-
-        results = process_map(_run_simulation_job, jobs, n_workers=n_workers,
+    try:
+        results = process_map(_run_simulation_job, jobs, workers=workers,
                               initializer=_init_simulation_worker,
                               initargs=(trace,))
-    else:
-        results = [
-            ForwardingSimulator(trace, algorithm,
-                                copy_semantics=job_copy).run(run_messages)
-            for algorithm, run_messages, job_copy in jobs
-        ]
+    finally:
+        # an in-process map stored the trace here: don't pin it
+        _SIMULATION_WORKER.clear()
     job_index = 0
     for _ in range(num_runs):
         for algorithm in algorithms:

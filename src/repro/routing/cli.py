@@ -21,6 +21,7 @@ import time
 from typing import List
 
 from ..analysis.tables import format_table
+from ..exp.cli import add_workers_option
 from .registry import protocol_by_name, protocol_catalogue, protocol_names
 
 __all__ = ["add_routing_commands", "dispatch_routing_command"]
@@ -45,10 +46,7 @@ def add_routing_commands(commands: argparse._SubParsersAction) -> None:
                      help="override the scenario's number of workload runs")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario's master seed")
-    run.add_argument("--parallel", action="store_true",
-                     help="fan (run x protocol) simulations over a process pool")
-    run.add_argument("--workers", type=int, default=None,
-                     help="process-pool size (default: CPU count)")
+    add_workers_option(run, "(run x protocol) simulations")
     run.add_argument("--json", metavar="PATH", default=None,
                      help="also write the result rows as JSON")
 
@@ -65,9 +63,7 @@ def add_routing_commands(commands: argparse._SubParsersAction) -> None:
     tournament.add_argument("--runs", type=int, default=None,
                             help="override each scenario's number of "
                                  "workload runs")
-    tournament.add_argument("--parallel", action="store_true",
-                            help="fan each scenario cell over a process pool")
-    tournament.add_argument("--workers", type=int, default=None)
+    add_workers_option(tournament, "the whole grid's simulations")
     tournament.add_argument("--lossy", nargs="?", const=0.1, default=None,
                             type=float, metavar="LOSS",
                             help="rank under a lossy channel: run each "
@@ -138,7 +134,7 @@ def _cmd_routing_run(args: argparse.Namespace, write_json) -> int:
     spec = scenario.with_overrides(algorithms=tuple(selected))
     started = time.perf_counter()
     result = run_scenario(spec, num_runs=args.runs, seed=args.seed,
-                          parallel=args.parallel, n_workers=args.workers)
+                          workers=args.workers)
     elapsed = time.perf_counter() - started
     print(f"scenario: {scenario.name} — {scenario.description}")
     print(f"trace: {result.trace_name}  ({result.num_nodes} nodes, "
@@ -219,8 +215,8 @@ def _cmd_routing_tournament(args: argparse.Namespace, write_json) -> int:
     started = time.perf_counter()
     result = run_tournament(protocols=protocols, scenarios=scenarios,
                             seeds=seeds, num_runs=args.runs,
-                            parallel=args.parallel, n_workers=args.workers,
-                            obs=obs, progress=progress)
+                            workers=args.workers, obs=obs,
+                            progress=progress)
     elapsed = time.perf_counter() - started
     print(f"tournament: {len(result.protocols)} protocols × "
           f"{len(result.scenarios)} scenarios × {len(result.seeds)} seed(s)")

@@ -21,7 +21,6 @@ in the repo.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -129,16 +128,6 @@ class TournamentResult:
         return rows
 
 
-@contextmanager
-def _maybe_phase(timers, name: str):
-    """Time a phase when profiling is on; vanish entirely when it is not."""
-    if timers is None:
-        yield
-    else:
-        with timers.phase(name):
-            yield
-
-
 def _dedup(names: List[str]) -> List[str]:
     return list(dict.fromkeys(names))
 
@@ -220,8 +209,7 @@ def run_tournament(
     seeds: Sequence[int] = (7,),
     num_runs: Optional[int] = None,
     constraints: Optional[ResourceConstraints] = None,
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
     obs=None,
     progress=None,
 ) -> TournamentResult:
@@ -237,21 +225,18 @@ def run_tournament(
     comparison is paired.  *num_runs* and *constraints* override the
     scenario's own values when given.  Every job runs on the vector kernel
     (:class:`~repro.sim.vector.VectorSimulator`, delivery-stream-equivalent
-    to :class:`~repro.sim.engine.DesSimulator`).  With
-    ``parallel=True`` the whole (scenario × seed × run × protocol) grid is
-    distributed over one process pool; results are identical to a serial
-    run.
+    to :class:`~repro.sim.engine.DesSimulator`).  ``workers=N > 1``
+    distributes the whole (scenario × seed × run × protocol) grid over one
+    pool of N processes; results are identical to an in-process run.
 
-    *obs* (a :class:`repro.obs.ObsConfig`) enables per-job traces and
-    engine telemetry; *progress* is the :func:`repro.exp.execute_plan`
-    callback — ``routing tournament --live`` feeds it into a
-    :class:`repro.obs.LiveLeaderboard` so the standings update as jobs
-    land, instead of only after the whole grid settles.
+    *obs* (a :class:`repro.obs.ObsConfig`) enables per-job traces, engine
+    telemetry, phase timings and ``metrics.json``; *progress* is the
+    :func:`repro.exp.run_experiment` callback — ``routing tournament
+    --live`` feeds it into a :class:`repro.obs.LiveLeaderboard` so the
+    standings update as jobs land, instead of only after the whole grid
+    settles.
     """
-    import time as _time
-
-    from ..exp.orchestrator import execute_plan
-    from ..exp.plan import build_plan
+    from ..exp.orchestrator import run_experiment
     from ..exp.spec import ExperimentSpec
 
     protocol_list = _resolve_protocols(protocols)
@@ -270,29 +255,9 @@ def run_tournament(
         num_runs=num_runs,
         constraints=constraints,
     )
-    timers = None
-    if obs is not None and obs.profile:
-        from ..obs.telemetry import PhaseTimers
-
-        timers = PhaseTimers()
-    with _maybe_phase(timers, "plan"):
-        plan = build_plan(spec)
-    if progress is not None:
-        # announce the grid before anything settles, so live views can
-        # render "done/total" from the first completion on
-        progress("plan", None, plan)
-    started = _time.perf_counter()
-    with _maybe_phase(timers, "execute"):
-        executed = execute_plan(plan, parallel=parallel, n_workers=n_workers,
-                                obs=obs, progress=progress)
-    if obs is not None and obs.metrics_path is not None:
-        from ..exp.orchestrator import ExperimentResult, _metrics_payload
-        from ..obs.telemetry import write_metrics_json
-
-        write_metrics_json(obs.metrics_path, _metrics_payload(
-            ExperimentResult(spec=spec, plan=plan, outcome=executed,
-                             elapsed_s=_time.perf_counter() - started),
-            timers=timers))
+    executed = run_experiment(spec, workers=workers, obs=obs,
+                              progress=progress)
+    plan = executed.plan
 
     result = TournamentResult(protocols=protocol_list, scenarios=scenario_list,
                               seeds=seed_list, num_runs=num_runs or 0,

@@ -38,7 +38,7 @@ import time
 from typing import List, Optional, Sequence
 
 from ..analysis.tables import format_table
-from ..exp.cli import add_exp_commands, dispatch_exp_command
+from ..exp.cli import add_exp_commands, add_workers_option, dispatch_exp_command
 from ..obs.cli import add_obs_commands, dispatch_obs_command
 from ..routing.cli import add_routing_commands, dispatch_routing_command
 from ..svc.cli import add_svc_commands, dispatch_svc_command
@@ -74,10 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the scenario's number of workload runs")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario's master seed")
-    run.add_argument("--parallel", action="store_true",
-                     help="fan (run x algorithm) simulations over a process pool")
-    run.add_argument("--workers", type=int, default=None,
-                     help="process-pool size (default: CPU count)")
+    add_workers_option(run, "(run x algorithm) simulations")
     run.add_argument("--trace-dir", default=None, metavar="DIR",
                      help="write one JSONL engine trace per executed job "
                           "into DIR (see repro.obs)")
@@ -96,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "('inf' or 'none' = unlimited)")
     sweep.add_argument("--runs", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--parallel", action="store_true")
-    sweep.add_argument("--workers", type=int, default=None)
+    add_workers_option(sweep, "(value x run x algorithm) simulations")
     sweep.add_argument("--json", metavar="PATH", default=None)
 
     scenario = commands.add_parser(
@@ -241,8 +237,7 @@ def _cmd_sim_run(args: argparse.Namespace) -> int:
                         metrics_path=args.metrics_json)
     started = time.perf_counter()
     result = run_scenario(scenario, num_runs=args.runs, seed=args.seed,
-                          parallel=args.parallel, n_workers=args.workers,
-                          obs=obs)
+                          workers=args.workers, obs=obs)
     elapsed = time.perf_counter() - started
     print(f"scenario: {scenario.name} — {scenario.description}")
     print(f"trace: {result.trace_name}  ({result.num_nodes} nodes, "
@@ -263,8 +258,7 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
     values = _parse_values(args.values)
     started = time.perf_counter()
     sweep = sweep_scenario(scenario, args.param, values, num_runs=args.runs,
-                           seed=args.seed, parallel=args.parallel,
-                           n_workers=args.workers)
+                           seed=args.seed, workers=args.workers)
     elapsed = time.perf_counter() - started
     print(f"scenario: {scenario.name} — sweeping {args.param} over "
           f"{[('inf' if v is None else v) for v in values]}")

@@ -2,13 +2,14 @@
 
 ``run_scenario`` executes one scenario (every algorithm × every run);
 ``sweep_scenario`` additionally grids one resource-constraint axis.  Both
-build a single-scenario :class:`~repro.exp.ExperimentSpec`, let the
-orchestration layer plan and dispatch the content-hashed jobs through the
-shared worker pool, and reassemble their historical result shapes by
+build a single-scenario :class:`~repro.exp.ExperimentSpec` and its plan,
+hand that plan to :func:`repro.exp.run_experiment` (which dispatches the
+content-hashed jobs through the shared worker pool, times them and writes
+any ``metrics.json``), and reassemble their historical result shapes by
 walking the plan in order — outputs are byte-identical to the pre-``exp``
 runners (pinned by the equivalence tests).  The trace each adapter builds
-for its own metadata is handed to the executor as a warm cache, so serial
-runs build it once and parallel workers receive it via the pool
+for its own metadata is handed to the executor as a warm cache, so an
+in-process run builds it once and pool workers receive it via the pool
 initializer, exactly as before.
 """
 
@@ -160,8 +161,7 @@ def run_scenario(
     num_runs: Optional[int] = None,
     seed: Optional[int] = None,
     constraints: Optional[ResourceConstraints] = None,
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
     obs=None,
 ) -> ScenarioRunResult:
     """Run one scenario end to end on the vector kernel.
@@ -171,12 +171,13 @@ def run_scenario(
     :class:`~repro.sim.vector.VectorSimulator`, which is
     delivery-stream-equivalent to :class:`~repro.sim.engine.DesSimulator`
     and hands bandwidth, channel and churn runs to it.
-    With ``parallel=True`` the (run × algorithm) simulations are
-    distributed over a process pool; results are identical to a serial
-    run.  *obs* (a :class:`repro.obs.ObsConfig`) enables per-job JSONL
-    traces and engine telemetry on the executed jobs.
+    ``workers=N > 1`` distributes the (run × algorithm) simulations over a
+    pool of N processes; results are identical to an in-process run.
+    *obs* (a :class:`repro.obs.ObsConfig`) enables per-job JSONL traces,
+    engine telemetry, ``obs.profile`` phase timings and a ``metrics.json``
+    artifact (see :func:`repro.exp.run_experiment`).
     """
-    from ..exp.orchestrator import execute_plan
+    from ..exp.orchestrator import run_experiment
     from ..exp.plan import build_plan
     from ..exp.spec import ExperimentSpec
 
@@ -197,15 +198,7 @@ def run_scenario(
     plan = build_plan(ExperimentSpec(name=f"scenario:{spec.name}",
                                      scenarios=(spec,)))
     _warm_caches(plan, trace, messages_per_run)
-    executed = execute_plan(plan, parallel=parallel, n_workers=n_workers,
-                            obs=obs)
-    if obs is not None and obs.metrics_path is not None:
-        from ..exp.orchestrator import ExperimentResult, _metrics_payload
-        from ..obs.telemetry import write_metrics_json
-
-        write_metrics_json(obs.metrics_path, _metrics_payload(
-            ExperimentResult(spec=plan.spec, plan=plan, outcome=executed),
-            timers=None))
+    executed = run_experiment(plan.spec, plan=plan, workers=workers, obs=obs)
 
     outcome = ScenarioRunResult(
         scenario=spec, trace_name=trace.name, num_nodes=trace.num_nodes,
@@ -258,16 +251,16 @@ def sweep_scenario(
     values: Sequence[Optional[float]],
     num_runs: Optional[int] = None,
     seed: Optional[int] = None,
-    parallel: bool = False,
-    n_workers: Optional[int] = None,
+    workers: int = 1,
 ) -> SweepResult:
     """Grid one constraint axis of a scenario.
 
     *parameter* is one of :data:`SWEEPABLE_PARAMETERS`; a value of ``None``
     means "unlimited" for that point.  Every grid point sees exactly the
     same trace and workloads, so the comparison is paired along the axis.
+    *workers* is as for :func:`run_scenario`.
     """
-    from ..exp.orchestrator import execute_plan
+    from ..exp.orchestrator import run_experiment
     from ..exp.plan import build_plan, reject_flat_ttl_sweep
     from ..exp.spec import ExperimentSpec, SweepAxis
 
@@ -298,7 +291,7 @@ def sweep_scenario(
         sweep=SweepAxis(parameter=parameter, values=tuple(values))),
         check_flat_ttl_sweep=False)
     _warm_caches(plan, trace, messages_per_run)
-    executed = execute_plan(plan, parallel=parallel, n_workers=n_workers)
+    executed = run_experiment(plan.spec, plan=plan, workers=workers)
 
     sweep = SweepResult(scenario=spec, parameter=parameter,
                         values=list(values), trace_name=trace.name)

@@ -265,8 +265,7 @@ async def _serve_until_drained(server: ServiceServer,
 
 
 def serve(store: str, host: str = "127.0.0.1", port: int = 0,
-          parallel: bool = False, n_workers: Optional[int] = None,
-          chunk_size: int = 16, recover: bool = True,
+          workers: int = 1, chunk_size: int = 16, recover: bool = True,
           install_signals: bool = True) -> int:
     """Run the experiment service until SIGTERM/SIGINT, then drain.
 
@@ -277,8 +276,8 @@ def serve(store: str, host: str = "127.0.0.1", port: int = 0,
     cleanly``.
     """
     async def _main() -> None:
-        daemon = ExperimentDaemon(store, parallel=parallel,
-                                  n_workers=n_workers, chunk_size=chunk_size)
+        daemon = ExperimentDaemon(store, workers=workers,
+                                  chunk_size=chunk_size)
         report = await daemon.start(recover=recover)
         server = ServiceServer(daemon, host=host, port=port)
         await server.start()

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..analysis.tables import format_table
+from ..exp.cli import add_workers_option
 from ..exp.store import DEFAULT_STORE_ROOT
 
 __all__ = ["add_svc_commands", "dispatch_svc_command"]
@@ -61,10 +62,7 @@ def add_svc_commands(commands: argparse._SubParsersAction) -> None:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default: 0 = ephemeral, printed "
                             "and written to <store>/svc.json)")
-    serve.add_argument("--parallel", action="store_true",
-                       help="fan jobs over a process pool")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="process-pool size (default: CPU count)")
+    add_workers_option(serve, "each chunk's jobs")
     serve.add_argument("--chunk-size", type=int, default=16,
                        help="jobs per executor batch; bounds cancel/drain "
                             "latency (default: 16)")
@@ -166,11 +164,8 @@ def _print_submission(info: dict) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .api import serve
 
-    if args.workers is not None and args.workers < 1:
-        raise SystemExit("--workers must be positive")
     return serve(args.store, host=args.host, port=args.port,
-                 parallel=args.parallel, n_workers=args.workers,
-                 chunk_size=args.chunk_size, recover=not args.no_recover)
+                 workers=args.workers, chunk_size=args.chunk_size, recover=not args.no_recover)
 
 
 def _cmd_submit(args: argparse.Namespace, write_json) -> int:

@@ -103,7 +103,7 @@ class ExperimentDaemon:
         fresh root gets its layout written up front
         (:func:`repro.svc.create_store`); a legacy flat root migrates in
         place on first load.
-    parallel / n_workers / policy:
+    workers / policy:
         Passed through to :func:`repro.exp.execute_plan` per chunk.  The
         default policy quarantines failing jobs (1 attempt) instead of
         killing the daemon.
@@ -113,8 +113,7 @@ class ExperimentDaemon:
     """
 
     def __init__(self, store: Union[str, Path, ShardedResultStore],
-                 parallel: bool = False,
-                 n_workers: Optional[int] = None,
+                 workers: int = 1,
                  policy: Optional[FaultPolicy] = None,
                  chunk_size: int = 16) -> None:
         if isinstance(store, ShardedResultStore):
@@ -122,8 +121,9 @@ class ExperimentDaemon:
         else:
             self.store = create_store(store)
         self.root = Path(self.store.root)
-        self.parallel = parallel
-        self.n_workers = n_workers
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = workers
         self.policy = policy if policy is not None else FaultPolicy()
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
@@ -357,8 +357,7 @@ class ExperimentDaemon:
             chunk_plan = ExperimentPlan(spec=plan.spec, jobs=chunk)
             outcome = await asyncio.to_thread(
                 execute_plan, chunk_plan, store=self.store,
-                parallel=self.parallel, n_workers=self.n_workers,
-                resume=True, policy=self.policy)
+                workers=self.workers, resume=True, policy=self.policy)
             submission.executed += len(outcome.executed)
             submission.failed += len(outcome.failed)
             self.jobs_executed += len(outcome.executed)

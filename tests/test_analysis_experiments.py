@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.analysis.experiments as experiments
+import repro.forwarding.metrics as metrics
 from repro.analysis import (
     message_delays_by_algorithm,
     run_forwarding_study,
@@ -66,6 +68,22 @@ class TestForwardingStudy:
                                           message_rate=0.01, seed=3)
         assert comparison.classification is not None
         assert comparison.pair_type_summaries()
+
+
+def test_in_process_studies_release_their_worker_state(
+        small_conference_trace):
+    """workers=1 runs the pool initializer in this process; the graph and
+    the trace it stores there must not outlive the call."""
+    records = run_path_explosion_study(small_conference_trace,
+                                       num_messages=3, n_explosion=10,
+                                       seed=4, workers=1)
+    assert len(records) == 3
+    assert experiments._EXPLOSION_WORKER == {}
+    comparison = run_forwarding_study(small_conference_trace,
+                                      algorithms=[EpidemicForwarding()],
+                                      message_rate=0.01, seed=4, workers=1)
+    assert comparison.results["Epidemic"]
+    assert metrics._SIMULATION_WORKER == {}
 
 
 class TestMessageDelays:

@@ -29,6 +29,7 @@ from repro.exp import (
     FaultPolicy,
     experiment_status,
     process_map,
+    resilient_map,
     run_experiment,
 )
 from repro.exp.records import decode_failure, is_failure_record
@@ -212,13 +213,13 @@ class TestWorkerCrash:
             seeds=(7,))
         store = str(tmp_path / "results")
         result = run_experiment(spec, store=store, policy=_POLICY,
-                                parallel=True, n_workers=2)
+                                workers=2)
         assert os.path.exists(marker), "the crashing attempt must have run"
         assert result.num_failed == 0
         assert result.num_executed == 4
 
         resumed = run_experiment(spec, store=store, policy=_POLICY,
-                                 parallel=True, n_workers=2)
+                                 workers=2)
         assert resumed.num_executed == 0
         assert resumed.num_reused == 4
 
@@ -231,7 +232,7 @@ class TestWorkerCrash:
             seeds=(7,))
         store = str(tmp_path / "results")
         result = run_experiment(spec, store=store, policy=_POLICY,
-                                parallel=True, n_workers=2)
+                                workers=2)
         assert result.num_executed == 2
         assert result.num_failed == 1
         (row,) = result.failure_rows()
@@ -251,19 +252,27 @@ def _double_or_boom(value):
 
 
 class TestProcessMapDrain:
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_completed_results_persist_past_a_job_error(self, n_workers):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_completed_results_persist_past_a_job_error(self, workers):
         jobs = list(range(6))
         persisted = {}
         with pytest.raises(ValueError, match="boom on 3"):
-            process_map(_double_or_boom, jobs, n_workers=n_workers,
+            process_map(_double_or_boom, jobs, workers=workers,
                         on_result=lambda i, r: persisted.setdefault(i, r))
-        if n_workers == 1:
+        if workers == 1:
             # the serial path stops at the error: everything before it is in
             assert persisted == {0: 0, 1: 2, 2: 4}
         else:
             # the pool path drains the whole batch before raising
             assert persisted == {0: 0, 1: 2, 2: 4, 4: 8, 5: 10}
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_worker_counts_are_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            process_map(_double_or_boom, [1, 2], workers=workers)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            resilient_map(_double_or_boom, [1, 2], policy=FaultPolicy(),
+                          workers=workers)
 
 
 # ----------------------------------------------------------------------

@@ -153,7 +153,7 @@ class TestDeterminism:
         parallel_store = ShardedResultStore(tmp_path / "parallel")
         serial = run_experiment(spec, store=serial_store)
         parallel = run_experiment(spec, store=parallel_store,
-                                  parallel=True, n_workers=2)
+                                  workers=2)
         assert serial.num_executed == parallel.num_executed == 32
 
         def shard_files(store):
@@ -283,7 +283,7 @@ class TestLegacyEntrypointsThroughExp:
     def test_run_scenario(self):
         serial = run_scenario("paper-ttl-tight", num_runs=2)
         parallel = run_scenario("paper-ttl-tight", num_runs=2,
-                                parallel=True, n_workers=2)
+                                workers=2)
         assert serial.results.keys() == parallel.results.keys()
         for name in serial.results:
             assert serial.results[name] == parallel.results[name]
@@ -292,7 +292,7 @@ class TestLegacyEntrypointsThroughExp:
         serial = sweep_scenario("paper-buffer-crunch", "buffer_capacity",
                                 [2.0, None])
         parallel = sweep_scenario("paper-buffer-crunch", "buffer_capacity",
-                                  [2.0, None], parallel=True, n_workers=2)
+                                  [2.0, None], workers=2)
         assert serial.table_rows() == parallel.table_rows()
         for value in serial.values:
             assert serial.by_value[value] == parallel.by_value[value]
@@ -301,7 +301,7 @@ class TestLegacyEntrypointsThroughExp:
         kwargs = dict(protocols=("Epidemic", "Direct Delivery"),
                       scenarios=("paper-ttl-tight",), seeds=(7, 8))
         serial = run_tournament(**kwargs)
-        parallel = run_tournament(parallel=True, n_workers=2, **kwargs)
+        parallel = run_tournament(workers=2, **kwargs)
         assert serial.cells == parallel.cells
         assert serial.leaderboard_rows() == parallel.leaderboard_rows()
 

@@ -192,7 +192,7 @@ def test_parallel_study_matches_serial():
     trace = load_dataset("infocom06-9-12", scale=_SCALE, contact_scale=_SCALE)
     kwargs = dict(num_messages=6, n_explosion=40, seed=13)
     serial = run_path_explosion_study(trace, **kwargs)
-    parallel = run_path_explosion_study(trace, parallel=True, n_workers=2, **kwargs)
+    parallel = run_path_explosion_study(trace, workers=2, **kwargs)
     assert len(serial) == len(parallel)
     for a, b in zip(serial, parallel):
         assert a.source == b.source

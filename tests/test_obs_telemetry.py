@@ -22,7 +22,7 @@ from repro.obs import (
     read_trace,
     write_metrics_json,
 )
-from repro.sim import DesSimulator
+from repro.sim import DesSimulator, run_scenario
 
 _SCALE = 0.2
 _RATE = 0.01
@@ -252,13 +252,24 @@ class TestOrchestratorIntegration:
         # no job ran, so no trace files
         assert not (tmp_path / "traces").exists()
 
+    def test_scenario_run_metrics_are_timed(self, tmp_path):
+        """run_scenario goes through run_experiment, so its metrics.json
+        carries the execute time and, with profile on, the phases."""
+        obs = ObsConfig(metrics_path=str(tmp_path / "metrics.json"),
+                        profile=True)
+        run_scenario("paper-ttl-tight", num_runs=1, obs=obs)
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["experiment"] == "scenario:paper-ttl-tight"
+        assert metrics["executed"] == metrics["jobs"] > 0
+        assert metrics["elapsed_s"] > 0
+        assert metrics["phases"]["execute"] > 0
+
     def test_parallel_run_matches_serial_with_obs(self, tmp_path):
         """Observability through the process pool: same results, traces
         for every executed job."""
         serial = run_experiment(SMALL_SPEC)
         obs = ObsConfig(trace_dir=str(tmp_path / "traces"))
-        parallel = run_experiment(SMALL_SPEC, parallel=True, n_workers=2,
-                                  obs=obs)
+        parallel = run_experiment(SMALL_SPEC, workers=2, obs=obs)
         for job in serial.plan.jobs:
             assert parallel.result_for(job) == serial.result_for(job)
             assert obs.trace_path(job.job_hash).exists()

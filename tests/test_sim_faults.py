@@ -159,7 +159,7 @@ class TestFaultDeterminism:
                               protocols=("Epidemic", "Direct Delivery"),
                               seeds=(7, 8))
         serial = run_experiment(spec)
-        parallel = run_experiment(spec, parallel=True, n_workers=2)
+        parallel = run_experiment(spec, workers=2)
         store = str(tmp_path / "results")
         run_experiment(spec, store=store)
         resumed = run_experiment(spec, store=store)

@@ -94,7 +94,7 @@ def test_scenario_runs_are_reproducible():
 def test_parallel_scenario_run_matches_serial():
     serial = run_scenario("paper-buffer-crunch", num_runs=2)
     parallel = run_scenario("paper-buffer-crunch", num_runs=2,
-                            parallel=True, n_workers=2)
+                            workers=2)
     for name in serial.results:
         a, b = serial.pooled(name), parallel.pooled(name)
         assert [(o.delivered, o.delivery_time, o.hop_count) for o in a.outcomes] == \

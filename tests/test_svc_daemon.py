@@ -124,6 +124,10 @@ class TestScheduling:
         assert daemon.jobs_executed == 0
         assert len(daemon.store) == 0
 
+    def test_non_positive_workers_rejected_at_construction(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ExperimentDaemon(tmp_path / "store", workers=0)
+
     def test_cancel_unknown_submission_raises(self, tmp_path):
         daemon = ExperimentDaemon(tmp_path / "store")
         with pytest.raises(KeyError, match="no such submission"):
