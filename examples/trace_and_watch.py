@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Tour of the observability layer: tracing, streaming metrics, telemetry.
+"""Tour of the observability layer: tracing, telemetry, live status.
 
 Four stops, all on a paper dataset stand-in:
 
 1. attach a :class:`~repro.obs.RecordingTracer` to a forwarding run and
    inspect the structured event stream (creates, forwards, deliveries);
-2. stream the same run's outcomes through a
-   :class:`~repro.obs.StreamingSummary` and check it reproduces the batch
-   :func:`~repro.forwarding.metrics.summarize` row byte for byte;
+2. re-run without the tracer and check the
+   :func:`~repro.forwarding.metrics.summarize` row is byte for byte the
+   same (a tracer observes, it never changes results);
 3. run a small experiment with a full :class:`~repro.obs.ObsConfig` —
    per-job JSONL traces plus a ``metrics.json`` telemetry artifact;
 4. poll the finished experiment with a :class:`~repro.obs.StatusTracker`,
@@ -30,7 +30,7 @@ from repro.exp import ExperimentSpec, run_experiment
 from repro.forwarding import ForwardingSimulator, PoissonMessageWorkload
 from repro.forwarding.algorithms import algorithm_by_name
 from repro.forwarding.metrics import summarize
-from repro.obs import ObsConfig, RecordingTracer, StatusTracker, StreamingSummary, read_trace
+from repro.obs import ObsConfig, RecordingTracer, StatusTracker, read_trace
 
 SPEC = ExperimentSpec(
     name="obs-tour",
@@ -56,20 +56,18 @@ def traced_run():
     print(f"   first delivery: message {first_delivery['msg']} reached "
           f"node {first_delivery['node']} after {first_delivery['hops']} "
           f"hop(s), delay {first_delivery['delay']:.0f}s")
-    return result
+    return trace, messages, result
 
 
-def streaming_equals_batch(result):
-    print("2. streaming metrics match the batch summary")
-    stream = StreamingSummary(algorithm=result.algorithm)
-    for outcome in result.outcomes:
-        stream.observe_outcome(outcome)
-    stream.add_copies(result.copies_sent)
-    batch_row = summarize(result).as_row()
-    stream_row = stream.summary().as_row()
-    print(f"   batch : {batch_row}")
-    print(f"   stream: {stream_row}")
-    print(f"   identical: {batch_row == stream_row}")
+def tracing_changes_nothing(trace, messages, traced):
+    print("2. the same run without a tracer gives the same summary")
+    untraced = ForwardingSimulator(trace,
+                                   algorithm_by_name("Epidemic")).run(messages)
+    traced_row = summarize(traced).as_row()
+    untraced_row = summarize(untraced).as_row()
+    print(f"   traced  : {traced_row}")
+    print(f"   untraced: {untraced_row}")
+    print(f"   identical: {traced_row == untraced_row}")
 
 
 def instrumented_experiment(workdir: Path) -> Path:
@@ -103,8 +101,8 @@ def watch_the_store(store: Path) -> None:
 
 
 def main() -> None:
-    result = traced_run()
-    streaming_equals_batch(result)
+    trace, messages, result = traced_run()
+    tracing_changes_nothing(trace, messages, result)
     with tempfile.TemporaryDirectory(prefix="obs-tour-") as scratch:
         store = instrumented_experiment(Path(scratch))
         watch_the_store(store)

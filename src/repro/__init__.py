@@ -26,9 +26,9 @@ The library is organised in layers (see README.md):
 * :mod:`repro.exp` — the unified experiment orchestration layer: declarative
   grid specs, content-hashed job planning, the shared worker pool and the
   persistent, resumable result store every runner routes through;
-* :mod:`repro.obs` — observability: streaming metric accumulators,
-  structured engine trace events, run telemetry (``metrics.json``) and the
-  live experiment feeds behind ``exp watch``;
+* :mod:`repro.obs` — observability: structured engine trace events, run
+  telemetry (``metrics.json``) and the live feeds behind ``exp watch``
+  and ``routing tournament --live``;
 * :mod:`repro.svc` — the experiment service: sharded result store, async
   job daemon and the stdlib HTTP query/submission API behind
   ``python -m repro svc``;

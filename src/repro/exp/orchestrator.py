@@ -411,7 +411,8 @@ def run_experiment(
     records are ignored (every job re-runs and re-appends; the store's
     last-write-wins index keeps that consistent).  Pass a prebuilt *plan* to skip
     re-planning (the CLI plans first so spec errors get friendly messages;
-    the scenario runners first seed the plan's warm caches).  *workers*
+    the scenario runners first seed the plan's warm caches); its build
+    time still counts as the ``plan`` phase.  *workers*
     and *policy* / *retry_failed* select the pool size and the
     fault-tolerant executor; see :func:`execute_plan`.  *progress* first
     receives ``("plan", None, plan)`` before any job settles, so live views
@@ -429,8 +430,10 @@ def run_experiment(
         return timers.phase(name) if timers is not None else nullcontext()
 
     if plan is None:
-        with phase("plan"):
-            plan = build_plan(spec)
+        plan = build_plan(spec)
+    if timers is not None:
+        # a prebuilt plan (the CLI plans first) still reports its build
+        timers.add("plan", plan.build_s)
     if progress is not None:
         progress("plan", None, plan)
     started = time.perf_counter()

@@ -24,6 +24,7 @@ Every job carries three content hashes:
 
 from __future__ import annotations
 
+import time
 import uuid
 import warnings
 from dataclasses import dataclass, field
@@ -66,12 +67,16 @@ class ExperimentPlan:
 
     ``warm_traces`` / ``warm_messages`` carry anything the planner had to
     build anyway (e.g. the flat-ttl-sweep check's workloads) so the
-    executor can seed its worker caches instead of rebuilding."""
+    executor can seed its worker caches instead of rebuilding.
+    ``build_s`` is the wall time :func:`build_plan` took, which
+    :func:`repro.exp.run_experiment` reports as the ``plan`` phase also
+    when its caller planned first."""
 
     spec: ExperimentSpec
     jobs: List[PlannedJob] = field(default_factory=list)
     warm_traces: Dict[str, object] = field(default_factory=dict)
     warm_messages: Dict[str, object] = field(default_factory=dict)
+    build_s: float = field(default=0.0, init=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -188,6 +193,7 @@ def build_plan(spec: ExperimentSpec,
     *check_flat_ttl_sweep* lets an adapter that already generated (and
     checked) the workloads skip the planner's own generation pass.
     """
+    started = time.perf_counter()
     plan = ExperimentPlan(spec=spec)
     for entry in _dedup_scenarios(spec.scenarios):
         base = _resolve_scenario(entry)
@@ -274,4 +280,5 @@ def build_plan(spec: ExperimentSpec,
                                              if spec.sweep else None),
                             sweep_value=value,
                         ))
+    plan.build_s = time.perf_counter() - started
     return plan

@@ -120,35 +120,43 @@ def fold_entry(pools: Dict[str, Dict[str, float]], entry: Dict[str, object],
 
 def rank_pools(pools: Dict[str, Dict[str, float]]) -> List[Dict[str, object]]:
     """The leaderboard rows of per-protocol pools (those holding jobs),
-    ranked by success rate, then mean delay, then protocol name."""
-    rows = []
+    ranked by success rate, then mean delay, then protocol name.
+
+    It sorts on the exact rate and mean delay and rounds only the emitted
+    columns, so two pools that differ beyond the printed precision never
+    tie."""
+    ranked = []
     for protocol, pool in pools.items():
         if pool["jobs"] <= 0:
             continue
         messages = int(pool["messages"])
         delivered = int(pool["delivered"])
-        rows.append({
+        mean_delay = pool["delay_sum"] / delivered if delivered else None
+        ranked.append((mean_delay, {
             "protocol": protocol,
             "jobs": int(pool["jobs"]),
             "messages": messages,
             "delivered": delivered,
             "success_rate": (round(delivered / messages, 6)
                              if messages else 0.0),
-            "mean_delay_s": (round(pool["delay_sum"] / delivered, 6)
-                             if delivered else None),
+            "mean_delay_s": (None if mean_delay is None
+                             else round(mean_delay, 6)),
             "copies_per_delivery": (round(pool["copies"] / delivered, 6)
                                     if delivered else None),
-        })
+        }))
     # rank on the exact rate, as integers over a common denominator: the
     # rounded column ties 333333/1000000 with 1/3 and would let the lower
     # rate win on delay
-    common = math.lcm(*(row["messages"] for row in rows if row["messages"]))
-    rows.sort(key=lambda row: (
-        -(row["delivered"] * (common // row["messages"])
-          if row["messages"] else 0),
-        row["mean_delay_s"] if row["mean_delay_s"] is not None
-        else float("inf"),
-        row["protocol"],
-    ))
+    common = math.lcm(*(row["messages"] for _, row in ranked
+                        if row["messages"]))
+
+    def rank_key(item):
+        mean_delay, row = item
+        rate = (row["delivered"] * (common // row["messages"])
+                if row["messages"] else 0)
+        return (-rate, float("inf") if mean_delay is None else mean_delay,
+                row["protocol"])
+
+    ranked.sort(key=rank_key)
     return [{"rank": position + 1, **row}
-            for position, row in enumerate(rows)]
+            for position, (_, row) in enumerate(ranked)]

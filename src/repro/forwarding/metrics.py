@@ -6,8 +6,11 @@ messages delivered before the end of the window) and the *average delay*
 
 * :class:`PerformanceSummary` — (success rate, mean delay, delay percentiles)
   of one algorithm on one dataset;
-* :func:`leaderboard_rows` — per-protocol summaries ranked into the
-  leaderboard rows the tournament and the live feed print;
+* :func:`leaderboard_rows` — per-protocol summaries ranked into
+  leaderboard rows;
+* :func:`pooled_leaderboard_rows` — per-protocol result lists pooled and
+  ranked: the one rule behind the tournament's final table and the live
+  feed's standings;
 * :func:`delay_distribution` — the full delay CDF (Figure 10);
 * :func:`summarize_by_pair_type` — metrics broken down by in/out pair type
   (Figure 13);
@@ -35,6 +38,7 @@ __all__ = [
     "PerformanceSummary",
     "summarize",
     "leaderboard_rows",
+    "pooled_leaderboard_rows",
     "delay_distribution",
     "summarize_by_pair_type",
     "compare_algorithms",
@@ -83,11 +87,11 @@ class PerformanceSummary:
     ) -> "PerformanceSummary":
         """Build a summary from a batch delay array.
 
-        This is *the* batch computation — ``np.mean`` / ``np.median`` /
+        This is *the* summary computation — ``np.mean`` / ``np.median`` /
         ``np.percentile`` over the delivered delays — shared by
-        :func:`summarize`, :func:`summarize_by_pair_type` and the exact
-        mode of :class:`repro.obs.StreamingSummary`, so streaming and
-        batch summaries agree to the last bit on small inputs.
+        :func:`summarize`, :func:`summarize_by_pair_type` and
+        :func:`pooled_leaderboard_rows`, so every report of the same
+        delays agrees to the last bit.
         """
         delays = np.asarray(delays, dtype=float)
         return cls(
@@ -204,6 +208,57 @@ def leaderboard_rows(summaries: Mapping[str, PerformanceSummary],
             row["crashes"] = summary.node_crashes
         rows.append(row)
     return rows
+
+
+def _pooled_summary(algorithm: str, results: Iterable) -> PerformanceSummary:
+    """One summary of several results of one protocol.
+
+    Equal to ``summarize(merge_constrained_results(results,
+    validate=False))`` on simulator results: outcomes concatenate and copy
+    counters sum.  It also accepts anything with ``outcomes`` and
+    ``copies_sent``: an unknown (``None``) copy counter makes the total
+    unknown, and the fault counters are summed over the results that carry
+    :class:`~repro.sim.engine.ResourceStats` and stay unknown when none
+    does.  An empty *results* pools to zero messages.
+    """
+    delays: List[float] = []
+    num_messages = num_delivered = 0
+    copies: Optional[int] = 0
+    faults: Dict[str, int] = {}
+    for result in results:
+        for outcome in result.outcomes:
+            num_messages += 1
+            if outcome.delivered:
+                num_delivered += 1
+                if outcome.delay is not None:
+                    delays.append(outcome.delay)
+        if copies is not None:
+            copies = (None if result.copies_sent is None
+                      else copies + result.copies_sent)
+        for name, value in _fault_counters(result).items():
+            faults[name] = faults.get(name, 0) + value
+    return PerformanceSummary.from_delays(
+        algorithm=algorithm, num_messages=num_messages,
+        num_delivered=num_delivered, delays=delays, copies_sent=copies,
+        **faults)
+
+
+def pooled_leaderboard_rows(results: Mapping[str, Iterable],
+                            **leading) -> List[Dict[str, object]]:
+    """Pool each protocol's results and rank them with
+    :func:`leaderboard_rows`.
+
+    *results* maps a protocol name to its results, in any order: the
+    ranked columns (success rate, median and p90 delay, copies per
+    delivery, fault counters) do not depend on the pooling order.  The
+    tournament's final table and :class:`repro.obs.LiveLeaderboard` both
+    call this, so live standings over the same results equal the final
+    ones.
+    """
+    return leaderboard_rows(
+        {protocol: _pooled_summary(protocol, runs)
+         for protocol, runs in results.items()},
+        **leading)
 
 
 def delay_distribution(

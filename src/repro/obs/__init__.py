@@ -1,18 +1,14 @@
-"""repro.obs — observability: streaming metrics, tracing, telemetry, feeds.
+"""repro.obs — observability: tracing, telemetry, feeds, analysis.
 
-Four small layers, all opt-in:
+Small layers, all opt-in:
 
-* :mod:`repro.obs.streaming` — mergeable one-pass accumulators
-  (Welford moments, a deterministic quantile sketch with an exact
-  small-sample mode) and :class:`StreamingSummary`, the streaming twin of
-  :func:`repro.forwarding.metrics.summarize`;
 * :mod:`repro.obs.tracing` — the structured trace-event probe both
   engines accept (``tracer=``), with JSONL and in-memory sinks;
 * :mod:`repro.obs.telemetry` — per-run engine counters/time series,
   parent-side phase timers and the ``metrics.json`` artifact writer;
 * :mod:`repro.obs.feed` — incremental experiment status
-  (:class:`StatusTracker`, behind ``exp watch``) and the streaming
-  tournament leaderboard (:class:`LiveLeaderboard`);
+  (:class:`StatusTracker`, behind ``exp watch``) and the live tournament
+  leaderboard (:class:`LiveLeaderboard`, ranked like the final table);
 * :mod:`repro.obs.journeys` / :mod:`repro.obs.analyze` — per-message
   causal journey reconstruction from traces, trace queries, cross-run
   :class:`TraceDiff` and leaderboard-gap explanations;
@@ -31,13 +27,6 @@ from .analyze import (
 from .bench import BenchComparison, check_bench_files, compare_bench
 from .feed import LiveLeaderboard, StatusTracker
 from .journeys import Hop, Journey, JourneyBuilder, JourneySet, build_journeys
-from .streaming import (
-    DEFAULT_BUFFER_SIZE,
-    DEFAULT_EXACT_CAPACITY,
-    QuantileSketch,
-    StreamingMoments,
-    StreamingSummary,
-)
 from .telemetry import (
     METRICS_SCHEMA,
     EngineTelemetry,
@@ -59,11 +48,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "DEFAULT_BUFFER_SIZE",
-    "DEFAULT_EXACT_CAPACITY",
-    "StreamingMoments",
-    "QuantileSketch",
-    "StreamingSummary",
     "TRACE_EVENTS",
     "DROP_REASONS",
     "EVENT_FIELDS",

@@ -1,4 +1,4 @@
-"""Live experiment feeds: incremental status and a streaming leaderboard.
+"""Live experiment feeds: incremental status and a live leaderboard.
 
 :class:`StatusTracker` answers "how far along is this experiment?" without
 rescanning the whole JSONL store on every poll: the plan is built once,
@@ -8,10 +8,12 @@ only the index bytes appended since the previous poll (via
 :meth:`repro.svc.store.ShardedResultStore.refresh_entries`).  ``exp
 status`` is a one-shot refresh; ``exp watch`` polls it in a loop.
 
-:class:`LiveLeaderboard` is the tournament's incremental ranking: one
-:class:`~repro.obs.streaming.StreamingSummary` per protocol, updated as
-cells land through the pool's progress callback, so the current standings
-are available mid-run without re-pooling every finished outcome list.
+:class:`LiveLeaderboard` is the tournament's standings while it runs: it
+keeps each protocol's results as they land through the pool's progress
+callback and pools them with
+:func:`repro.forwarding.metrics.pooled_leaderboard_rows`, the function
+behind the final table, so its rows equal the final rows over the same
+results.
 
 Imports from :mod:`repro.exp` stay lazy: ``repro.exp`` imports
 :mod:`repro.obs` at module level (the orchestrator attaches telemetry),
@@ -23,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..analysis.tables import format_table
-from .streaming import StreamingSummary
 
 __all__ = ["StatusTracker", "LiveLeaderboard"]
 
@@ -142,28 +143,30 @@ class StatusTracker:
 
 
 class LiveLeaderboard:
-    """Streaming per-protocol standings, updated as jobs complete."""
+    """Per-protocol standings, updated as jobs complete.
+
+    :meth:`observe` keeps each result; :meth:`rows` re-pools them all (a
+    ``routing tournament --live`` grid redraws about ten times).  The
+    results are the ones the tournament holds anyway, so the board adds
+    references, not copies.
+    """
 
     def __init__(self, protocols=()) -> None:
-        self._streams: Dict[str, StreamingSummary] = {
-            name: StreamingSummary(name) for name in protocols
+        self._results: Dict[str, List[object]] = {
+            name: [] for name in protocols
         }
         self.num_observed = 0
 
     def observe(self, protocol: str, result) -> None:
-        """Fold one finished job's result into the protocol's stream."""
-        stream = self._streams.get(protocol)
-        if stream is None:
-            stream = self._streams[protocol] = StreamingSummary(protocol)
-        stream.observe_result(result)
+        """Add one finished job's result to the protocol's pool."""
+        self._results.setdefault(protocol, []).append(result)
         self.num_observed += 1
 
     def rows(self) -> List[Dict[str, object]]:
-        """Current standings, ranked like the tournament leaderboard."""
-        from ..forwarding.metrics import leaderboard_rows
+        """Current standings, pooled and ranked like the tournament's."""
+        from ..forwarding.metrics import pooled_leaderboard_rows
 
-        return leaderboard_rows({name: stream.summary()
-                                 for name, stream in self._streams.items()})
+        return pooled_leaderboard_rows(self._results)
 
     def table(self) -> str:
         """The current standings as an aligned text table."""

@@ -128,8 +128,12 @@ class PhaseTimers:
         if started is None:
             return 0.0
         elapsed = _time.perf_counter() - started
-        self._phases[name] = self._phases.get(name, 0.0) + elapsed
+        self.add(name, elapsed)
         return elapsed
+
+    def add(self, name: str, seconds: float) -> None:
+        """Accumulate *seconds* measured elsewhere into phase *name*."""
+        self._phases[name] = self._phases.get(name, 0.0) + seconds
 
     class _Phase:
         __slots__ = ("timers", "name")

@@ -62,22 +62,20 @@ class TournamentResult:
     def leaderboard_rows(self) -> List[Dict[str, object]]:
         """One ranked row per protocol (the tournament's headline table).
 
-        Each row pools the protocol's cells through the shared
-        :func:`~repro.sim.runner.merge_constrained_results` (cross-trace by
-        construction, hence ``validate=False``) and summarizes the pooled
-        delays via :meth:`~repro.forwarding.metrics.PerformanceSummary.
-        from_delays` — the same batch computation every other report uses.
-        Fault-cost columns (``lost``, ``retx``, ``crashes``) come from the
-        summed :class:`~repro.sim.engine.ResourceStats` of the cells.  The
-        rows are ranked by :func:`~repro.forwarding.metrics.leaderboard_rows`,
-        the builder :class:`repro.obs.LiveLeaderboard` shares.
+        Each row pools the protocol's cells across scenarios and seeds and
+        ranks them through :func:`~repro.forwarding.metrics.
+        pooled_leaderboard_rows` — the same function
+        :class:`repro.obs.LiveLeaderboard` calls, so ``--live`` standings
+        over the same results equal these rows.  The pool's delays are
+        summarized by :meth:`~repro.forwarding.metrics.PerformanceSummary.
+        from_delays`, the computation every other report uses; fault-cost
+        columns (``lost``, ``retx``, ``crashes``) are the summed
+        :class:`~repro.sim.engine.ResourceStats` of the cells.
         """
-        from ..forwarding.metrics import leaderboard_rows, summarize
+        from ..forwarding.metrics import pooled_leaderboard_rows
 
-        return leaderboard_rows(
-            {protocol: summarize(merge_constrained_results(
-                self.pooled(protocol), validate=False))
-             for protocol in self.protocols},
+        return pooled_leaderboard_rows(
+            {protocol: self.pooled(protocol) for protocol in self.protocols},
             scenarios=len(self.scenarios))
 
     def leaderboard_table(self) -> str:
@@ -232,9 +230,10 @@ def run_tournament(
     *obs* (a :class:`repro.obs.ObsConfig`) enables per-job traces, engine
     telemetry, phase timings and ``metrics.json``; *progress* is the
     :func:`repro.exp.run_experiment` callback — ``routing tournament
-    --live`` feeds it into a :class:`repro.obs.LiveLeaderboard` so the
-    standings update as jobs land, instead of only after the whole grid
-    settles.
+    --live`` feeds it into a :class:`repro.obs.LiveLeaderboard`, which
+    prints the standings of the jobs landed so far, ranked by the same
+    function as :meth:`TournamentResult.leaderboard_rows`; once every job
+    has landed its rows equal the final table's.
     """
     from ..exp.orchestrator import run_experiment
     from ..exp.spec import ExperimentSpec

@@ -26,10 +26,9 @@ from .engine import (
     DesSimulator,
     ResourceConstraints,
     ResourceStats,
-    simulate_des,
 )
 from .faults import ChannelSpec, ChurnSpec
-from .vector import VectorSimulator, simulate_vector
+from .vector import VectorSimulator
 from .runner import ScenarioRunResult, SweepResult, run_scenario, sweep_scenario
 from .scenarios import (
     DatasetTraceSpec,
@@ -56,9 +55,7 @@ __all__ = [
     "DesSimulator",
     "ResourceConstraints",
     "ResourceStats",
-    "simulate_des",
     "VectorSimulator",
-    "simulate_vector",
     "ChannelSpec",
     "ChurnSpec",
     "ScenarioRunResult",

@@ -109,7 +109,6 @@ __all__ = [
     "ResourceStats",
     "ConstrainedSimulationResult",
     "DesSimulator",
-    "simulate_des",
 ]
 
 #: :class:`ResourceConstraints` axes a sweep/experiment grid can vary.
@@ -995,22 +994,3 @@ class DesSimulator:
                 tracer.emit("drop", time, msg=entry.message_id,
                             node=state.node_of[node], reason="evicted")
         self._stats.buffer_evictions += len(evicted)
-
-
-def simulate_des(
-    trace: ContactTrace,
-    algorithm: RoutingProtocol,
-    messages: Sequence[Message],
-    constraints: ResourceConstraints = UNCONSTRAINED,
-    copy_semantics: str = "copy",
-    stop_on_delivery: bool = True,
-    seed: Optional[int] = None,
-    tracer: Optional[object] = None,
-    telemetry: Optional[object] = None,
-) -> ConstrainedSimulationResult:
-    """One-shot convenience wrapper around :class:`DesSimulator`."""
-    simulator = DesSimulator(trace, algorithm, constraints=constraints,
-                             copy_semantics=copy_semantics,
-                             stop_on_delivery=stop_on_delivery, seed=seed,
-                             tracer=tracer, telemetry=telemetry)
-    return simulator.run(messages)

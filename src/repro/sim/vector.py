@@ -113,7 +113,7 @@ from .engine import (
 )
 from .events import CONTACT_END, CONTACT_START, CREATE, EXPIRE
 
-__all__ = ["VectorSimulator", "simulate_vector"]
+__all__ = ["VectorSimulator"]
 
 #: events per replay chunk: the timeline stays in compact numpy columns
 #: and the loops convert one slice of this many events to Python scalars
@@ -919,22 +919,3 @@ class VectorSimulator:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<VectorSimulator {self._protocol.name!r} "
                 f"{'delegated' if self._delegate else 'native'}>")
-
-
-def simulate_vector(
-    trace: ContactTrace,
-    algorithm: RoutingProtocol,
-    messages: Sequence[Message],
-    constraints: ResourceConstraints = UNCONSTRAINED,
-    copy_semantics: str = "copy",
-    stop_on_delivery: bool = True,
-    seed: Optional[int] = None,
-    tracer: Optional[object] = None,
-    telemetry: Optional[object] = None,
-) -> ConstrainedSimulationResult:
-    """One-shot convenience wrapper around :class:`VectorSimulator`."""
-    simulator = VectorSimulator(trace, algorithm, constraints=constraints,
-                                copy_semantics=copy_semantics,
-                                stop_on_delivery=stop_on_delivery, seed=seed,
-                                tracer=tracer, telemetry=telemetry)
-    return simulator.run(messages)

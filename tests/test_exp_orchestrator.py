@@ -344,6 +344,21 @@ class TestExpCli:
         assert {row["buffer_capacity"] for row in payload["rows"]} == \
             {4.0, "inf"}
 
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_profile_times_plan_and_execute(self, tmp_path, command):
+        """The CLI plans before running (to label spec errors); that
+        build is still reported as the plan phase."""
+        spec_path = tmp_path / "spec.json"
+        metrics_path = tmp_path / "metrics.json"
+        spec_path.write_text(json.dumps({
+            "name": "cli-profile", "scenarios": ["paper-ttl-tight"],
+            "protocols": ["Epidemic"], "seeds": [7]}))
+        assert main(["exp", command, str(spec_path), "--no-store",
+                     "--profile", "--metrics-json", str(metrics_path)]) == 0
+        phases = json.loads(metrics_path.read_text())["phases"]
+        assert set(phases) == {"plan", "execute"}
+        assert phases["plan"] > 0
+
     def test_bad_spec_fails_fast(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"name": "bad", "scenarios": []}))

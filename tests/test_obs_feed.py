@@ -1,11 +1,12 @@
 """Live experiment feeds: incremental store reads, status tracking, the
-streaming leaderboard and the ``exp watch`` CLI.
+live leaderboard and the ``exp watch`` CLI.
 
 The load-bearing guarantees: :meth:`ShardedResultStore.refresh_entries`
 parses only the index bytes appended since the last poll (and never
 consumes a writer's partial line); :class:`StatusTracker` reproduces
 ``experiment_status`` payloads exactly while polling incrementally;
-:class:`LiveLeaderboard` converges to the tournament's final standings;
+:class:`LiveLeaderboard` ranks the same results into the same rows as the
+tournament's final table;
 and an interrupted observed run keeps its telemetry artifacts across
 resume.
 """
@@ -365,6 +366,88 @@ class TestLiveLeaderboard:
         for rows in (tournament.leaderboard_rows(), board.rows()):
             assert [row["protocol"] for row in rows] == ["higher", "faster"]
             assert rows[0]["success_rate"] == rows[1]["success_rate"] == 0.5
+
+
+    def test_live_rows_equal_final_rows_past_four_thousand_deliveries(self):
+        """Thousands of exponential delays per protocol: the live board and
+        the tournament pool the same results into the same rows, column
+        for column (the live board has no ``scenarios`` column)."""
+        import numpy as np
+
+        from repro.forwarding.messages import Message
+        from repro.forwarding.simulator import DeliveryOutcome
+        from repro.routing.tournament import TournamentResult
+        from repro.sim import UNCONSTRAINED, ConstrainedSimulationResult
+        from repro.sim.engine import ResourceStats
+
+        rng = np.random.default_rng(11)
+
+        def cell(name, messages, delivered, scale):
+            delays = rng.exponential(scale, size=delivered)
+            run = ConstrainedSimulationResult(
+                algorithm=name, trace_name="t", constraints=UNCONSTRAINED,
+                stats=ResourceStats(copies_sent=3 * delivered,
+                                    lost_transfers=delivered // 7,
+                                    retransmissions=delivered // 5),
+                copies_sent=3 * delivered)
+            for index in range(messages):
+                hit = index < delivered
+                created = float(rng.uniform(0.0, 100.0))
+                run.outcomes.append(DeliveryOutcome(
+                    message=Message(id=index, source=0, destination=1,
+                                    creation_time=created),
+                    delivered=hit,
+                    delivery_time=created + delays[index] if hit else None,
+                    hop_count=1 if hit else 0))
+            return run
+
+        seeds = [1, 2, 3]
+        sizes = {"big": (2500, 1700, 300.0), "small": (400, 150, 40.0)}
+        cells = {(name, "s", seed): cell(name, *sizes[name])
+                 for name in sizes for seed in seeds}
+        assert sum(run.num_delivered for (name, _, _), run in cells.items()
+                   if name == "big") > 4096
+        tournament = TournamentResult(
+            protocols=list(sizes), scenarios=["s"], seeds=seeds,
+            num_runs=1, cells=cells)
+        board = LiveLeaderboard()
+        # the live board sees the cells in completion order, not plan order
+        for key in reversed(list(cells)):
+            board.observe(key[0], cells[key])
+        final = tournament.leaderboard_rows()
+        assert all(row.pop("scenarios") == 1 for row in final)
+        assert board.rows() == final
+
+    def test_pooling_of_duck_typed_results(self):
+        """Results with only ``outcomes`` and ``copies_sent`` pool too: an
+        unknown copy counter makes the total unknown, and fault columns
+        appear once a result carries stats."""
+        from repro.forwarding.messages import Message
+        from repro.forwarding.simulator import DeliveryOutcome
+        from repro.sim.engine import ResourceStats
+
+        class _Result:
+            def __init__(self, copies, stats=None):
+                self.copies_sent = copies
+                self.outcomes = [DeliveryOutcome(
+                    message=Message(id=0, source=0, destination=1,
+                                    creation_time=0.0),
+                    delivered=True, delivery_time=5.0, hop_count=1)]
+                if stats is not None:
+                    self.stats = stats
+
+        board = LiveLeaderboard()
+        board.observe("known", _Result(4))
+        board.observe("known", _Result(2))
+        board.observe("unknown", _Result(4))
+        board.observe("unknown", _Result(None))
+        board.observe("faulty", _Result(1))
+        board.observe("faulty", _Result(1, ResourceStats(lost_transfers=3)))
+        rows = {row["protocol"]: row for row in board.rows()}
+        assert rows["known"]["copies/delivery"] == 3.0
+        assert rows["unknown"]["copies/delivery"] is None
+        assert "lost" not in rows["known"]
+        assert (rows["faulty"]["lost"], rows["faulty"]["retx"]) == (3, 0)
 
 
 # ----------------------------------------------------------------------

@@ -526,6 +526,26 @@ class TestLeaderboard:
                      "--json", str(board)]) == 0
         assert json.loads(board.read_text()) == rows
 
+    def test_ranks_on_exact_mean_delay(self, tmp_path):
+        """Mean delays 10.0000004 s and 10.0000001 s both print as 10.0;
+        at equal success rates the faster pool must rank first, not the
+        one whose name sorts first."""
+        store = create_store(tmp_path / "store")
+        for index, (protocol, delay) in enumerate((("A", 10.0000004),
+                                                   ("B", 10.0000001))):
+            record = make_record(job_hash_for(index), protocol=protocol,
+                                 messages=10, delivered=5)
+            for outcome in record["result"]["outcomes"]:
+                outcome[3] = 0.0
+                if outcome[6]:
+                    outcome[7] = delay
+            store.put(record)
+        rows = store.leaderboard()
+        assert [row["protocol"] for row in rows] == ["B", "A"]
+        assert rows[0]["mean_delay_s"] == rows[1]["mean_delay_s"] == 10.0
+        assert aggregate_leaderboard(store.entries()) == rows
+        assert ShardedResultStore(store.root).leaderboard() == rows
+
     def test_no_aggregate_file_is_written(self, sharded_store):
         sharded_store.put(make_record(job_hash_for(500)))
         sharded_store.flush()

@@ -40,7 +40,6 @@ from repro.sim import (
     get_scenario,
     run_scenario,
     scenario_names,
-    simulate_vector,
 )
 from repro.sim import vector
 from repro.sim.faults import ChannelSpec
@@ -361,7 +360,7 @@ def test_simulate_vector_one_shot_wrapper():
     trace = ContactTrace([Contact(0.0, 10.0, 0, 1), Contact(20.0, 30.0, 1, 2)],
                          nodes=range(3), duration=60.0, name="tiny")
     messages = [Message(id=0, source=0, destination=2, creation_time=0.0)]
-    result = simulate_vector(trace, protocol_by_name("Epidemic"), messages)
+    result = VectorSimulator(trace, protocol_by_name("Epidemic")).run(messages)
     assert result.outcomes[0].delivered
     assert result.outcomes[0].delivery_time == 20.0
     assert result.outcomes[0].hop_count == 2
