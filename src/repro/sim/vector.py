@@ -9,13 +9,12 @@ magnitude faster:
 
 * **sorted compact timeline** — without bandwidth/channel/churn the event
   set is fully known up front (contact starts/ends, creations, expiries),
-  so the heap disappears: the timeline is built as compact numpy columns
-  (``float64`` times, ``int8`` kinds, ``int32`` endpoints, ``int64`` pair
-  keys), stably lexsorted once on ``(time, kind)``, and replayed in
-  fixed-size chunks, each slice walked as plain Python lists.  The
-  encoding (kinds, sequence assignment) is byte-identical to the DES
-  engine's initial event load, so ties resolve identically, also across
-  chunk edges.
+  so the heap disappears: the timeline is built as four compact numpy
+  columns (``float64`` times, ``int8`` kinds, ``int32`` endpoints), stably
+  lexsorted once on ``(time, kind)``, and replayed in fixed-size chunks,
+  each slice walked as plain Python lists.  The encoding (kinds, sequence
+  assignment) is byte-identical to the DES engine's initial event load,
+  so ties resolve identically, also across chunk edges.
 * **per-node candidate bitmasks** — messages are interned to dense
   indices (the :mod:`repro.core.fastpath` idiom) and each node tracks the
   set of live copies it carries and the set of messages it ever held as
@@ -41,8 +40,14 @@ magnitude faster:
   the survivors as one ``vector_approvals`` batch, lands the approved
   copies in one bookkeeping step and pushes ``(peer, landed)``.  A
   contact lands its whole candidate batch, then floods once from the
-  peer; a creation floods from the source.  Holdings keep only the hop
-  count, and no per-node carried sets are kept.
+  peer; a creation floods from the source.  No per-node carried sets are
+  kept.
+* **hop columns** — on every path a message's holdings are one
+  ``array('i')`` hop column, ``num_nodes`` long, holding each holder's hop
+  count and ``-1`` where the node holds no copy.  It is allocated when the
+  source admits the message and released at expiry, whose holders are
+  found by scanning it: 4 × ``num_nodes`` bytes per launched message until
+  it expires.
 * **buffered probes** — a supplied tracer is wrapped in
   :class:`repro.obs.BufferedTracer`, so ``obs`` tracing keeps working
   (same events, same order, same file bytes) without paying per-event
@@ -91,6 +96,7 @@ delegated run reports the engine that actually executed).
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -122,7 +128,7 @@ _CHUNK = 8192
 
 
 def _chunks(timeline):
-    """The timeline's ``(time, kind, a, b, pair)`` events as plain Python
+    """The timeline's ``(time, kind, a, b)`` events as plain Python
     scalars, one zipped :data:`_CHUNK`-event slice at a time."""
     chunk = _CHUNK
     for low in range(0, len(timeline[0]), chunk):
@@ -215,15 +221,16 @@ class VectorSimulator:
 
         interner = NodeInterner(self._trace.nodes)
         index_of = interner.index_of
-        num_nodes = len(interner)
+        self._num_nodes = num_nodes = len(interner)
         self._node_of = interner.nodes
         self._index_of = index_of
         self._history = OnlineContactHistory()
         self._stats = stats = ResourceStats()
 
-        # message interning: dense index -> single bit, fastpath-style
+        # message interning, fastpath-style: message id -> dense slot, whose
+        # bit 1 << slot stands for the message in every bitmask
         self._messages_by_id = {m.id: m for m in messages}
-        self._bit_of = {m.id: 1 << i for i, m in enumerate(messages)}
+        self._slot_of = {m.id: i for i, m in enumerate(messages)}
         self._size_of = {
             m.id: self._constraints.effective_size(m) for m in messages}
         self._dest_of = {m.id: index_of(m.destination) for m in messages}
@@ -240,23 +247,24 @@ class VectorSimulator:
         self._code_path = ("flood" if self._flooding
                            else "fastpath" if self._fastpath else "hook")
 
-        # contact/holding containers keep the exact types (and therefore
-        # mutation-order-dependent iteration order) of the DES engine;
-        # holdings map message id -> {holder: hop count}.  The flood never
-        # reads the carried sets (its order across messages is free), so
-        # it keeps none.
+        # contact/carried containers keep the exact types (and therefore
+        # mutation-order-dependent iteration order) of the DES engine.  The
+        # flood never reads the carried sets (its order across messages is
+        # free), so it keeps none.
         self._active_counts: Dict[int, int] = {}
         self._active_peers: List[set] = [set() for _ in range(num_nodes)]
         self._carried: List[set] = ([] if self._flooding
                                     else [set() for _ in range(num_nodes)])
-        self._holdings: Dict[int, Dict[int, int]] = {}
+        # per message slot, its hop column (None before the source admits
+        # it and after it expires): hop count per holder, -1 where unheld
+        self._unheld = array("i", [-1]) * num_nodes
+        self._hops: List[Optional[array]] = [None] * len(messages)
         self._delivered: Dict[int, tuple] = {}
-        self._expired: set = set()
         # per node, the messages it is the destination of (the flood's
         # delivery screen)
         self._dest_bits = [0] * num_nodes
-        for m in messages:
-            self._dest_bits[self._dest_of[m.id]] |= self._bit_of[m.id]
+        for slot, m in enumerate(messages):
+            self._dest_bits[self._dest_of[m.id]] |= 1 << slot
         if self._fastbuf:
             self._buffers = []
             self._buf_used = [0.0] * num_nodes
@@ -300,11 +308,11 @@ class VectorSimulator:
             on_expire = self._on_expire
             remaining = len(timeline[0])
             for events in _chunks(timeline):
-                for time, kind, a, b, pair in events:
+                for time, kind, a, b in events:
                     if kind == CONTACT_START:
-                        on_contact_start(time, a, b, pair)
+                        on_contact_start(time, a, b)
                     elif kind == CONTACT_END:
-                        on_contact_end(time, a, b, pair)
+                        on_contact_end(time, a, b)
                     elif kind == CREATE:
                         on_create(time, message_list[a])
                     else:  # EXPIRE
@@ -362,17 +370,17 @@ class VectorSimulator:
         sequence tie-break, so the replay order is identical to the DES
         engine's pop order.
 
-        Returns five parallel arrays *already permuted into replay order*:
-        ``float64`` times, ``int8`` kinds, ``int32`` interned endpoints
+        Returns four parallel arrays *already permuted into replay order*:
+        ``float64`` times, ``int8`` kinds and ``int32`` interned endpoints
         ``a`` and ``b`` (column ``a`` carries the message index of a
-        creation/expiry event) and the ``int64`` packed canonical pair
-        key.  The dispatch loops walk them in :data:`_CHUNK`-event slices
-        (:func:`_chunks`), so only one slice at a time exists as Python
-        scalars.
+        creation/expiry event), 17 B per event.  There is no pair column:
+        the loops pack a contact's canonical pair key ``a * num_nodes + b``
+        when they count it.  They walk the columns in
+        :data:`_CHUNK`-event slices (:func:`_chunks`), so only one slice
+        at a time exists as Python scalars.
         """
         starts, ends, a_labels, b_labels = self._trace.as_arrays()
         num_contacts = len(starts)
-        num_nodes = len(self._node_of)
         node_array = np.asarray(self._node_of)
         if (num_contacts and node_array.dtype.kind in "iuf"
                 and a_labels.dtype.kind in "iuf"):
@@ -388,10 +396,6 @@ class VectorSimulator:
             b_index = np.fromiter(
                 (index_of(label) for label in b_labels.tolist()),
                 dtype=np.int64, count=num_contacts)
-        # Contact stores its endpoints canonically ordered, so the same
-        # unordered pair always packs to the same key
-        pair_index = a_index * num_nodes + b_index
-
         expiring = [
             (i, expiry)
             for i, expiry in ((i, self._constraints.effective_expiry(m))
@@ -405,16 +409,14 @@ class VectorSimulator:
         kinds = np.empty(total, dtype=np.int8)
         ev_a = np.empty(total, dtype=np.int32)
         ev_b = np.zeros(total, dtype=np.int32)
-        ev_pair = np.zeros(total, dtype=np.int64)
         times[0:split:2] = starts
         times[1:split:2] = np.maximum(ends, starts)
         kinds[0:split:2] = CONTACT_START
         kinds[1:split:2] = CONTACT_END
-        for column, values in ((ev_a, a_index), (ev_b, b_index),
-                               (ev_pair, pair_index)):
+        for column, values in ((ev_a, a_index), (ev_b, b_index)):
             column[0:split:2] = values
             column[1:split:2] = values
-        del a_index, b_index, pair_index
+        del a_index, b_index
         times[split:base] = [message.creation_time for message in messages]
         kinds[split:base] = CREATE
         ev_a[split:base] = np.arange(len(messages))
@@ -426,8 +428,8 @@ class VectorSimulator:
         order = np.lexsort((kinds, times))
         # permute one column at a time, releasing each unsorted column
         # before the next is copied: the transient is one column wide
-        columns = [times, kinds, ev_a, ev_b, ev_pair]
-        del times, kinds, ev_a, ev_b, ev_pair
+        columns = [times, kinds, ev_a, ev_b]
+        del times, kinds, ev_a, ev_b
         for position in range(len(columns)):
             columns[position] = columns[position][order]
         return tuple(columns)
@@ -447,6 +449,7 @@ class VectorSimulator:
         fast-path flag set — which is exactly the precondition for
         entering it.  On the flood gate a contact's offer floods.
         """
+        num_nodes = self._num_nodes
         counts = self._active_counts
         counts_get = counts.get
         counts_pop = counts.pop
@@ -457,8 +460,11 @@ class VectorSimulator:
         on_create = self._on_create
         on_expire = self._on_expire
         for events in _chunks(timeline):
-            for time, kind, a, b, pair in events:
+            for time, kind, a, b in events:
                 if kind == CONTACT_START:
+                    # Contact stores its endpoints canonically ordered, so
+                    # the same unordered pair always packs to the same key
+                    pair = a * num_nodes + b
                     counts[pair] = counts_get(pair, 0) + 1
                     active_peers[a].add(b)
                     active_peers[b].add(a)
@@ -471,6 +477,7 @@ class VectorSimulator:
                     if cand:
                         offer(b, a, time, cand)
                 elif kind == CONTACT_END:
+                    pair = a * num_nodes + b
                     remaining = counts_get(pair, 0) - 1
                     if remaining <= 0:
                         counts_pop(pair, None)
@@ -483,7 +490,7 @@ class VectorSimulator:
                 else:  # EXPIRE
                     on_expire(time, message_list[a])
 
-    def _on_contact_start(self, time, a: int, b: int, pair: int) -> None:
+    def _on_contact_start(self, time, a: int, b: int) -> None:
         if self._run_tracer is not None:
             node_of = self._node_of
             self._run_tracer.emit("contact_start", time,
@@ -494,6 +501,7 @@ class VectorSimulator:
             self._protocol.on_contact_start(node_of[a], node_of[b], time,
                                             self._history)
         counts = self._active_counts
+        pair = a * self._num_nodes + b
         counts[pair] = counts.get(pair, 0) + 1
         self._active_peers[a].add(b)
         self._active_peers[b].add(a)
@@ -509,8 +517,9 @@ class VectorSimulator:
         if cand:
             self._offer(b, a, time, cand)
 
-    def _on_contact_end(self, time, a: int, b: int, pair: int) -> None:
+    def _on_contact_end(self, time, a: int, b: int) -> None:
         counts = self._active_counts
+        pair = a * self._num_nodes + b
         remaining = counts.get(pair, 0) - 1
         if remaining <= 0:
             counts.pop(pair, None)
@@ -551,8 +560,10 @@ class VectorSimulator:
                     tracer.emit("drop", time, msg=message.id,
                                 node=message.source, reason="source_rejected")
                 return
-        bit = self._bit_of[message.id]
-        self._holdings[message.id] = {source: 0}
+        slot = self._slot_of[message.id]
+        bit = 1 << slot
+        column = self._hops[slot] = self._unheld[:]
+        column[source] = 0
         self._carried_bits[source] |= bit
         self._ever_bits[source] |= bit
         self._launched_bits |= bit
@@ -569,13 +580,16 @@ class VectorSimulator:
 
     def _on_expire(self, time, message: Message) -> None:
         message_id = message.id
-        bit = self._bit_of[message_id]
-        self._expired.add(message_id)
+        slot = self._slot_of[message_id]
+        bit = 1 << slot
         self._stop_bits |= bit
-        holders = self._holdings.pop(message_id, None)
+        column = self._hops[slot]
+        self._hops[slot] = None
+        holders = ([] if column is None else (
+            np.frombuffer(column, dtype=np.intc) >= 0).nonzero()[0].tolist())
         if self._run_tracer is not None:
             self._run_tracer.emit("expire", time, msg=message_id,
-                                  copies=len(holders) if holders else 0)
+                                  copies=len(holders))
         if holders:
             not_bit = ~bit
             size = self._size_of[message_id]
@@ -607,9 +621,9 @@ class VectorSimulator:
         soundness of that snapshot is argued in the
         ``RoutingProtocol.vector_approvals`` docstring.
         """
-        bit_of = self._bit_of
+        slot_of = self._slot_of
         carried = [mid for mid in list(self._carried[carrier])
-                   if bit_of[mid] & cand]
+                   if (cand >> slot_of[mid]) & 1]
         approvals_fn = self._approvals_fn
         if approvals_fn is None:
             by_id = self._messages_by_id
@@ -633,14 +647,15 @@ class VectorSimulator:
         ``ResourceStats`` identical to a DES run.
         """
         message_id = message.id
-        bit = self._bit_of[message_id]
+        slot = self._slot_of[message_id]
+        bit = 1 << slot
         if not (self._carried_bits[carrier] & bit):
             return False
         if self._stop_bits & bit:
             return False
         if self._ever_bits[peer] & bit:
             return False
-        hops = self._holdings[message_id][carrier]
+        hops = self._hops[slot][carrier]
         counter = self._counter
         if peer != self._dest_of[message_id]:
             counter.decisions += 1
@@ -659,18 +674,19 @@ class VectorSimulator:
         The DES engine needs the latter because a delayed channel lets a
         reception outlive its contact; on the native path every reception
         happens at the current event time of a time-sorted replay, so a
-        carrier never holds a copy received after *time* — and holdings
-        keep only the hop count.
+        carrier never holds a copy received after *time* — and a hop
+        column keeps only the hop count.
         """
         message_id = message.id
-        bit = self._bit_of[message_id]
+        slot = self._slot_of[message_id]
+        bit = 1 << slot
         if not (self._carried_bits[carrier] & bit):
             return False
         if self._stop_bits & bit:
             return False
         if self._ever_bits[peer] & bit:
             return False
-        hops = self._holdings[message_id][carrier]
+        hops = self._hops[slot][carrier]
         if peer != self._dest_of[message_id]:
             node_of = self._node_of
             if not self._counter.should_forward(
@@ -710,7 +726,7 @@ class VectorSimulator:
         the DES engine's; the inline bit tests skip exactly the attempts
         its guards would reject without touching any counter.
         """
-        bit = self._bit_of[message.id]
+        bit = 1 << self._slot_of[message.id]
         ever_bits = self._ever_bits
         active_peers = self._active_peers
         attempt = self._attempt
@@ -780,27 +796,28 @@ class VectorSimulator:
         occupancy sum, and so its peak, does not depend on the order.
         """
         message_list = self._message_list
-        holdings = self._holdings
+        hop_columns = self._hops
         landed = delivering = cand & self._dest_bits[peer]
         judged = cand ^ delivering
         if judged:
-            batch = []
+            slots, batch = [], []
             while judged:
                 low = judged & -judged
                 judged ^= low
-                batch.append(message_list[low.bit_length() - 1])
+                slot = low.bit_length() - 1
+                slots.append(slot)
+                batch.append(message_list[slot])
             node_of = self._node_of
             carrier_node, peer_node = node_of[carrier], node_of[peer]
             verdicts = self._approvals_fn(carrier_node, peer_node, batch, time)
-            bit_of = self._bit_of
             on_forwarded = self._protocol.on_forwarded
             approvals = 0
-            for message, approved in zip(batch, verdicts):
+            for slot, message, approved in zip(slots, batch, verdicts):
                 if approved:
                     approvals += 1
-                    holders = holdings[message.id]
-                    holders[peer] = holders[carrier] + 1
-                    landed |= bit_of[message.id]
+                    column = hop_columns[slot]
+                    column[peer] = column[carrier] + 1
+                    landed |= 1 << slot
                     on_forwarded(message, carrier_node, peer_node, time)
             counter = self._counter
             counter.decisions += len(batch)
@@ -821,9 +838,10 @@ class VectorSimulator:
         while delivering:
             low = delivering & -delivering
             delivering ^= low
-            message = message_list[low.bit_length() - 1]
-            holders = holdings[message.id]
-            hops = holders[peer] = holders[carrier] + 1
+            slot = low.bit_length() - 1
+            message = message_list[slot]
+            column = hop_columns[slot]
+            hops = column[peer] = column[carrier] + 1
             if message.id not in self._delivered:
                 self._delivered[message.id] = (time, hops)
                 if self._stop_on_delivery:
@@ -858,7 +876,8 @@ class VectorSimulator:
                     tracer.emit("drop", time, msg=message_id,
                                 node=self._node_of[peer], reason="rejected")
                 return False
-        bit = self._bit_of[message_id]
+        slot = self._slot_of[message_id]
+        bit = 1 << slot
         self._ever_bits[peer] |= bit
         stats.copies_sent += 1
         if is_destination and message_id not in self._delivered:
@@ -872,11 +891,10 @@ class VectorSimulator:
                             delay=time - message.creation_time,
                             src=self._node_of[carrier])
         if admitted:
-            holders = self._holdings.get(message_id)
-            if holders is not None:
-                holders[peer] = hops
-            else:  # defensive: holdings exist whenever copies circulate
-                self._holdings[message_id] = {peer: hops}
+            column = self._hops[slot]
+            if column is None:  # defensive: columns exist while copies move
+                column = self._hops[slot] = self._unheld[:]
+            column[peer] = hops
             self._carried[peer].add(message_id)
             self._carried_bits[peer] |= bit
             if evicted:
@@ -884,11 +902,12 @@ class VectorSimulator:
         return True
 
     def _drop_copy(self, node: int, message_id: int) -> None:
-        holders = self._holdings.get(message_id)
-        if holders is not None:
-            holders.pop(node, None)
+        slot = self._slot_of[message_id]
+        column = self._hops[slot]
+        if column is not None:
+            column[node] = -1
         self._carried[node].discard(message_id)
-        self._carried_bits[node] &= ~self._bit_of[message_id]
+        self._carried_bits[node] &= ~(1 << slot)
         if self._fastbuf:
             self._buf_used[node] -= self._size_of[message_id]
         else:
@@ -900,11 +919,12 @@ class VectorSimulator:
             return
         tracer = self._run_tracer
         for entry in evicted:
-            holders = self._holdings.get(entry.message_id)
-            if holders is not None:
-                holders.pop(node, None)
+            slot = self._slot_of[entry.message_id]
+            column = self._hops[slot]
+            if column is not None:
+                column[node] = -1
             self._carried[node].discard(entry.message_id)
-            self._carried_bits[node] &= ~self._bit_of[entry.message_id]
+            self._carried_bits[node] &= ~(1 << slot)
             if tracer is not None:
                 tracer.emit("drop", time, msg=entry.message_id,
                             node=self._node_of[node], reason="evicted")

@@ -19,7 +19,7 @@ this module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -158,6 +158,11 @@ class GridRandomWaypointModel:
       boundary.  At the model's intended scale (steps of tens of seconds,
       pauses of comparable magnitude) the contact statistics are
       indistinguishable from the exact-time process;
+    * positions are streamed: :meth:`iter_positions` yields one step's
+      ``(num_nodes, 2)`` positions at a time, and :meth:`generate_trace`
+      extracts that step's pairs before drawing the next, so the
+      ``(num_steps, num_nodes, 2)`` history is never held (its memory is
+      the packed in-range pairs, not the positions);
     * contact extraction bins positions into ``radio_range``-sized grid
       cells and compares only same/adjacent-cell pairs
       (:func:`grid_pairs_in_range`), replacing the dense
@@ -191,16 +196,18 @@ class GridRandomWaypointModel:
             raise ValueError("radio_range must be positive")
 
     # ------------------------------------------------------------------
-    def sample_positions(
+    def iter_positions(
         self,
         duration: float,
         step: float = 30.0,
         seed: SeedLike = None,
-    ) -> np.ndarray:
-        """Sample all node positions on a regular grid, vectorized.
+    ) -> Iterator[np.ndarray]:
+        """Yield every node's position on a regular grid, one step at a time.
 
-        Returns shape ``(num_steps, num_nodes, 2)`` like
-        :meth:`RandomWaypointModel.sample_positions`.
+        Yields ``num_steps = floor(duration / step) + 1`` fresh arrays of
+        shape ``(num_nodes, 2)``.  The process is vectorized across nodes
+        (one numpy pass per step) and draws from the seeded generator only
+        while it is advanced, in the same order whoever consumes it.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -209,8 +216,6 @@ class GridRandomWaypointModel:
         rng = resolve_rng(seed)
         n = self.num_nodes
         num_steps = int(np.floor(duration / step)) + 1
-        positions = np.zeros((num_steps, n, 2), dtype=float)
-
         current = np.column_stack([rng.uniform(0, self.width, n),
                                    rng.uniform(0, self.height, n)])
         target = np.column_stack([rng.uniform(0, self.width, n),
@@ -218,8 +223,8 @@ class GridRandomWaypointModel:
         speed = rng.uniform(self.min_speed, self.max_speed, n)
         pause_left = np.zeros(n)
 
-        positions[0] = current
-        for k in range(1, num_steps):
+        yield current.copy()
+        for _ in range(1, num_steps):
             pausing = pause_left > 0
             pause_left[pausing] = np.maximum(pause_left[pausing] - step, 0.0)
             moving = ~pausing
@@ -240,8 +245,22 @@ class GridRandomWaypointModel:
                 target[arrived, 1] = rng.uniform(0, self.height, count)
                 speed[arrived] = rng.uniform(self.min_speed, self.max_speed,
                                              count)
-            positions[k] = current
-        return positions
+            yield current.copy()
+
+    def sample_positions(
+        self,
+        duration: float,
+        step: float = 30.0,
+        seed: SeedLike = None,
+    ) -> np.ndarray:
+        """Sample all node positions on a regular grid, vectorized.
+
+        Returns shape ``(num_steps, num_nodes, 2)`` like
+        :meth:`RandomWaypointModel.sample_positions`: the steps of
+        :meth:`iter_positions`, stacked.
+        """
+        return np.stack(list(self.iter_positions(duration, step=step,
+                                                 seed=seed)))
 
     # ------------------------------------------------------------------
     def generate_trace(
@@ -257,10 +276,9 @@ class GridRandomWaypointModel:
         opens at the first sampled step a pair is within range and closes
         at the first step it is not (or at *duration*).
         """
-        positions = self.sample_positions(duration, step=step, seed=seed)
         n = self.num_nodes
         step_pairs = []
-        for points in positions:
+        for points in self.iter_positions(duration, step=step, seed=seed):
             a, b = grid_pairs_in_range(points, self.radio_range)
             step_pairs.append(a * n + b)
         return ContactTrace.from_columns(

@@ -4,10 +4,12 @@
 turn in-range pairs per sampled step into contact columns in one pass (a
 sort over ``(pair, step)`` keys and run-boundary masks), and
 ``grid_pairs_in_range`` reads neighbour cells from a dense first-position
-table.  The oracles below are the earlier, obviously-correct forms: an
-``open_since`` dict walked step by step, and one ``searchsorted`` pair per
-neighbour offset.  The new code must match them exactly (``==`` traces,
-identical pair arrays in the same order).
+table.  The grid model streams its positions one step at a time
+(``iter_positions``).  The oracles below are the earlier, obviously-correct
+forms: an ``open_since`` dict walked step by step, one ``searchsorted``
+pair per neighbour offset, and the position loop that filled the whole
+``(steps, nodes, 2)`` array.  The new code must match them exactly (``==``
+traces, identical pair arrays in the same order, bit-identical positions).
 """
 
 from __future__ import annotations
@@ -70,6 +72,42 @@ def _oracle_grid_pairs(points: np.ndarray, radius: float):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def _oracle_grid_positions(model, duration, step, seed):
+    """The grid model's positions, filled into one preallocated array."""
+    rng = np.random.default_rng(seed)
+    n = model.num_nodes
+    num_steps = int(np.floor(duration / step)) + 1
+    positions = np.zeros((num_steps, n, 2), dtype=float)
+    current = np.column_stack([rng.uniform(0, model.width, n),
+                               rng.uniform(0, model.height, n)])
+    target = np.column_stack([rng.uniform(0, model.width, n),
+                              rng.uniform(0, model.height, n)])
+    speed = rng.uniform(model.min_speed, model.max_speed, n)
+    pause_left = np.zeros(n)
+    positions[0] = current
+    for k in range(1, num_steps):
+        pausing = pause_left > 0
+        pause_left[pausing] = np.maximum(pause_left[pausing] - step, 0.0)
+        moving = ~pausing
+        vec = target - current
+        dist = np.hypot(vec[:, 0], vec[:, 1])
+        travel = speed * step
+        arrived = moving & (dist <= travel)
+        cruising = moving & ~arrived
+        if np.any(cruising):
+            frac = travel[cruising] / dist[cruising]
+            current[cruising] += vec[cruising] * frac[:, None]
+        count = int(arrived.sum())
+        if count:
+            current[arrived] = target[arrived]
+            pause_left[arrived] = rng.uniform(0, model.max_pause, count)
+            target[arrived, 0] = rng.uniform(0, model.width, count)
+            target[arrived, 1] = rng.uniform(0, model.height, count)
+            speed[arrived] = rng.uniform(model.min_speed, model.max_speed, count)
+        positions[k] = current
+    return positions
 
 
 def _oracle_grid_trace(positions, radio_range, step, duration, name):
@@ -178,13 +216,16 @@ def test_grid_pairs_on_a_sparse_cloud():
 # ----------------------------------------------------------------------
 # GridRandomWaypointModel.generate_trace
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("n, side, duration, step, seed", [
+_GRID_CASES = [
     (60, 150.0, 600.0, 30.0, 1),
     (200, 300.0, 610.0, 30.0, 2),     # duration not a multiple of step
     (120, 120.0, 95.0, 10.0, 3),
     (40, 80.0, 301.0, 7.0, 4),
     (2, 30.0, 60.0, 60.0, 5),         # two nodes, two steps
-])
+]
+
+
+@pytest.mark.parametrize("n, side, duration, step, seed", _GRID_CASES)
 def test_generate_trace_matches_the_step_loop(n, side, duration, step, seed):
     model = GridRandomWaypointModel(num_nodes=n, width=side, height=side,
                                     radio_range=20.0)
@@ -206,11 +247,27 @@ def test_generate_trace_pair_in_range_only_at_the_last_step(monkeypatch, duratio
         [[0.0, 0.0], [50.0, 0.0], [90.0, 90.0]],
         [[0.0, 0.0], [50.0, 0.0], [55.0, 0.0]],   # (1, 2) at the last step only
     ])
-    monkeypatch.setattr(model, "sample_positions", lambda *args, **kwargs: positions)
+    monkeypatch.setattr(model, "iter_positions", lambda *args, **kwargs: iter(positions))
     trace = model.generate_trace(duration, step=10.0)
     expected = _oracle_grid_trace(positions, 10.0, 10.0, duration, "rwp-grid-N3")
     assert trace == expected
     assert list(trace) == [Contact(10.0, 20.0, 0, 1), Contact(30.0, duration, 1, 2)]
+
+
+@pytest.mark.parametrize("n, side, duration, step, seed", _GRID_CASES)
+def test_streamed_positions_draw_the_whole_array_loop(n, side, duration, step, seed):
+    """Streaming draws exactly the positions (and RNG draws) of the loop
+    that filled the whole history: ``sample_positions`` and the stacked
+    per-step generator equal it bit for bit."""
+    model = GridRandomWaypointModel(num_nodes=n, width=side, height=side,
+                                    radio_range=20.0)
+    expected = _oracle_grid_positions(model, duration, step, seed)
+    streamed = np.stack(list(model.iter_positions(duration, step=step, seed=seed)))
+    sampled = model.sample_positions(duration, step=step, seed=seed)
+    for positions in (streamed, sampled):
+        assert positions.shape == expected.shape
+        assert positions.dtype == expected.dtype
+        assert positions.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -229,6 +229,48 @@ def test_hook_fallback_agrees_with_des_on_random_workloads(payload, chunk):
     _assert_results_equal(reference, candidate, context="PRoPHET")
 
 
+@pytest.fixture(scope="module")
+def short_ttl_city():
+    """A seeded 300-node ``rwp-grid`` city whose messages expire after
+    spreading: every expiry scans a hop column that holds many copies."""
+    trace = GridRandomWaypointTraceSpec(
+        num_nodes=300, duration=1800.0, width=600.0, height=600.0,
+        radio_range=20.0, name="city-300").build(seed=5)
+    messages = PoissonMessageWorkload(
+        rate=0.05, generation_window=(0.0, 600.0)).generate(trace, seed=5)
+    return trace, messages
+
+
+@pytest.mark.parametrize("protocol_name, options, code_path", [
+    ("Epidemic", {}, "flood"),
+    ("Epidemic", {"copy_semantics": "handoff"}, "fastpath"),
+    ("Source Spray-and-Wait", {}, "flood"),
+    ("PRoPHET", {}, "hook"),
+    ("Epidemic", {"buffer_capacity": 3.0}, "fastpath"),
+], ids=["flood", "handoff", "spray", "prophet", "buffer"])
+def test_city_expiry_and_eviction_over_hop_columns_match_des(
+        short_ttl_city, protocol_name, options, code_path):
+    """Expiry finds its holders by scanning the message's hop column, and
+    hand-off and eviction clear entries in it: at city scale every path
+    must still equal DES, stream and every ``ResourceStats`` counter."""
+    trace, messages = short_ttl_city
+    options = dict(options)
+    copy_semantics = options.pop("copy_semantics", "copy")
+    constraints = ResourceConstraints(ttl=300.0, **options)
+    reference = DesSimulator(
+        trace, protocol_by_name(protocol_name), constraints=constraints,
+        copy_semantics=copy_semantics).run(messages)
+    simulator = VectorSimulator(
+        trace, protocol_by_name(protocol_name), constraints=constraints,
+        copy_semantics=copy_semantics)
+    candidate = simulator.run(messages)
+    assert simulator.code_path == code_path
+    _assert_results_equal(reference, candidate, context=protocol_name)
+    assert candidate.stats.expired_copies > 0
+    if "buffer_capacity" in options:
+        assert candidate.stats.buffer_evictions > 0
+
+
 # ----------------------------------------------------------------------
 # tracing, catalogue, plumbing
 # ----------------------------------------------------------------------
@@ -280,11 +322,9 @@ def test_code_path_reports_the_gate_each_run_takes():
     assert path(constraints=ResourceConstraints(bandwidth=2.0)) == "delegate"
 
 
-def test_timeline_peak_memory_per_event_stays_compact():
-    """The replay keeps the timeline in compact numpy columns and builds
-    Python scalars one chunk at a time.  Direct Delivery lands no copies,
-    so the run's traced peak is the timeline: about 76 B per event here,
-    where whole-run Python lists took about 235 B."""
+@pytest.fixture(scope="module")
+def memory_city():
+    """A 4000-node city with 20 messages, and its timeline's event count."""
     trace = GridRandomWaypointTraceSpec(
         num_nodes=4000, duration=600.0, width=2000.0, height=2000.0,
         name="memory").build(seed=3)
@@ -293,7 +333,12 @@ def test_timeline_peak_memory_per_event_stays_compact():
                         creation_time=float(i)) for i in range(20)]
     events = 2 * len(trace) + len(messages)
     assert events >= 10 * vector._CHUNK
-    simulator = VectorSimulator(trace, protocol_by_name("Direct Delivery"))
+    return trace, messages, events
+
+
+def _traced_peak_per_event(memory_city, protocol_name):
+    trace, messages, events = memory_city
+    simulator = VectorSimulator(trace, protocol_by_name(protocol_name))
     gc.collect()
     tracemalloc.start()
     try:
@@ -301,7 +346,27 @@ def test_timeline_peak_memory_per_event_stays_compact():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / events < 150.0, f"{peak / events:.1f} B/event"
+    return peak / events
+
+
+def test_timeline_peak_memory_per_event_stays_compact(memory_city):
+    """The replay keeps the timeline in four compact numpy columns and
+    builds Python scalars one chunk at a time.  Direct Delivery lands no
+    copies, so the run's traced peak is the timeline: about 66 B per event
+    here, where whole-run Python lists took about 235 B."""
+    per_event = _traced_peak_per_event(memory_city, "Direct Delivery")
+    assert per_event < 150.0, f"{per_event:.1f} B/event"
+
+
+def test_flood_holdings_stay_out_of_the_per_event_budget(memory_city):
+    """The flood keeps each message's holdings in one hop column (4 B per
+    node), so flooding every copy across the city adds only a few bytes
+    per event to Direct Delivery's peak; per-message holder dicts added
+    about 23 B."""
+    epidemic = _traced_peak_per_event(memory_city, "Epidemic")
+    direct = _traced_peak_per_event(memory_city, "Direct Delivery")
+    assert epidemic - direct < 8.0, \
+        f"Epidemic {epidemic:.1f} vs Direct Delivery {direct:.1f} B/event"
 
 
 def test_protocol_catalogue_reports_vector_support():
