@@ -175,10 +175,13 @@ def respects_first_preference(path: Path, graph: SpaceTimeGraph, destination: No
     """
     if not path.delivers_to(destination):
         return True
-    delivery_time = path.end_time
-    delivery_step = _step_of_vertex_time(graph, delivery_time)
-    for node, received_time in path.hops[:-1]:
-        received_step = _step_of_vertex_time(graph, received_time)
+    delivery_step = _step_of_vertex_time(graph, path.end_time)
+    for index, (node, received_time) in enumerate(path.hops[:-1]):
+        # the first hop is the creation instant, not a vertex time: a
+        # creation at an exact multiple of Δ starts the step it opens
+        received_step = (graph.step_of_time(max(received_time, 0.0))
+                         if index == 0
+                         else _step_of_vertex_time(graph, received_time))
         for step in range(received_step, delivery_step):
             if graph.in_contact(node, destination, step):
                 return False

@@ -3,7 +3,7 @@
 :class:`VectorSimulator` replays the same discrete-event semantics as
 :class:`repro.sim.engine.DesSimulator` — same event encoding, same guard
 order, same zero-time relay cascade, same buffer/TTL bookkeeping — but
-restructures the hot loop around flat arrays and bitmasks so that
+restructures the replay around flat arrays and bitmasks so that
 city-scale traces (10^4–10^5 nodes, 10^5+ contacts) run an order of
 magnitude faster:
 
@@ -15,6 +15,12 @@ magnitude faster:
   each slice walked as plain Python lists.  The encoding (kinds, sequence
   assignment) is byte-identical to the DES engine's initial event load,
   so ties resolve identically, also across chunk edges.
+* **one replay loop** — every native run goes through :meth:`_replay`,
+  with the contact bookkeeping inlined.  Locals fixed before the loop
+  select the rest: ``hooks`` (a protocol off the fast path) records the
+  contact history and calls ``on_contact_start``/``on_contact_end``, a
+  tracer gets ``contact_start``/``contact_end``, and telemetry counts and
+  samples each event.
 * **per-node candidate bitmasks** — messages are interned to dense
   indices (the :mod:`repro.core.fastpath` idiom) and each node tracks the
   set of live copies it carries and the set of messages it ever held as
@@ -122,8 +128,8 @@ from .events import CONTACT_END, CONTACT_START, CREATE, EXPIRE
 __all__ = ["VectorSimulator"]
 
 #: events per replay chunk: the timeline stays in compact numpy columns
-#: and the loops convert one slice of this many events to Python scalars
-#: at a time
+#: and the replay loop converts one slice of this many events to Python
+#: scalars at a time
 _CHUNK = 8192
 
 
@@ -298,33 +304,7 @@ class VectorSimulator:
         telemetry = self._telemetry
         if telemetry is not None:
             telemetry.begin(engine="vector", algorithm=protocol.name)
-        if (self._fastpath and self._run_tracer is None
-                and telemetry is None):
-            self._hot_loop(timeline, message_list)
-        else:
-            on_contact_start = self._on_contact_start
-            on_contact_end = self._on_contact_end
-            on_create = self._on_create
-            on_expire = self._on_expire
-            remaining = len(timeline[0])
-            for events in _chunks(timeline):
-                for time, kind, a, b in events:
-                    if kind == CONTACT_START:
-                        on_contact_start(time, a, b)
-                    elif kind == CONTACT_END:
-                        on_contact_end(time, a, b)
-                    elif kind == CREATE:
-                        on_create(time, message_list[a])
-                    else:  # EXPIRE
-                        on_expire(time, message_list[a])
-                    if telemetry is not None:
-                        remaining -= 1
-                        if telemetry.event(_KIND_NAMES[kind], remaining):
-                            telemetry.sample_buffers(
-                                time,
-                                sum(self._buf_used) if self._fastbuf
-                                else sum(buffer.used
-                                         for buffer in self._buffers))
+        self._replay(timeline, message_list, telemetry)
         if telemetry is not None:
             telemetry.finish()
         if buffered is not None:
@@ -374,8 +354,8 @@ class VectorSimulator:
         ``float64`` times, ``int8`` kinds and ``int32`` interned endpoints
         ``a`` and ``b`` (column ``a`` carries the message index of a
         creation/expiry event), 17 B per event.  There is no pair column:
-        the loops pack a contact's canonical pair key ``a * num_nodes + b``
-        when they count it.  They walk the columns in
+        the replay loop packs a contact's canonical pair key
+        ``a * num_nodes + b`` when it counts it, and walks the columns in
         :data:`_CHUNK`-event slices (:func:`_chunks`), so only one slice
         at a time exists as Python scalars.
         """
@@ -435,21 +415,23 @@ class VectorSimulator:
         return tuple(columns)
 
     # ------------------------------------------------------------------
-    # event handlers (mirroring repro.sim.engine.DesSimulator)
+    # the replay loop and event handlers (mirroring repro.sim.engine)
     # ------------------------------------------------------------------
-    def _hot_loop(self, timeline, message_list) -> None:
-        """The dispatch loop for the common case: fast-path protocol, no
-        tracer, no telemetry.
+    def _replay(self, timeline, message_list, telemetry) -> None:
+        """Replay the sorted timeline: the one dispatch loop of every
+        native run (the module docstring lists what its locals select).
 
         Contact bookkeeping is inlined (no per-event method call, state
         containers bound to locals) so the millions of screened-out
         contact events of a saturated city-scale run cost a handful of
-        interpreter ops each.  Semantically identical to the general loop
-        plus :meth:`_on_contact_start`/:meth:`_on_contact_end` with the
-        fast-path flag set — which is exactly the precondition for
-        entering it.  On the flood gate a contact's offer floods.
+        interpreter ops each.  Hook and tracer calls sit where the DES
+        engine's handlers make them: the history record, the
+        ``on_contact_start`` hook and ``contact_start`` come before the
+        pair count, ``contact_end`` and ``on_contact_end`` after it.  On
+        the flood gate a contact's offer floods.
         """
         num_nodes = self._num_nodes
+        node_of = self._node_of
         counts = self._active_counts
         counts_get = counts.get
         counts_pop = counts.pop
@@ -459,17 +441,31 @@ class VectorSimulator:
         offer = self._offer_flood if self._flooding else self._offer
         on_create = self._on_create
         on_expire = self._on_expire
+        hooks = not self._fastpath
+        history = self._history
+        protocol = self._protocol
+        tracer = self._run_tracer
+        remaining = len(timeline[0])
         for events in _chunks(timeline):
             for time, kind, a, b in events:
                 if kind == CONTACT_START:
+                    if tracer is not None:
+                        tracer.emit("contact_start", time,
+                                    a=node_of[a], b=node_of[b])
+                    if hooks:
+                        history.record(node_of[a], node_of[b], time)
+                        protocol.on_contact_start(node_of[a], node_of[b],
+                                                  time, history)
                     # Contact stores its endpoints canonically ordered, so
                     # the same unordered pair always packs to the same key
                     pair = a * num_nodes + b
                     counts[pair] = counts_get(pair, 0) + 1
                     active_peers[a].add(b)
                     active_peers[b].add(a)
-                    # the second screen rereads the stop mask because the
-                    # first direction may deliver
+                    # both endpoints offer each other their carried
+                    # messages; the second screen rereads the stop mask
+                    # because the first direction may deliver (_offer
+                    # documents why skipping is counter-neutral)
                     cand = carried_bits[a] & ~(ever_bits[b] | self._stop_bits)
                     if cand:
                         offer(a, b, time, cand)
@@ -478,63 +474,30 @@ class VectorSimulator:
                         offer(b, a, time, cand)
                 elif kind == CONTACT_END:
                     pair = a * num_nodes + b
-                    remaining = counts_get(pair, 0) - 1
-                    if remaining <= 0:
+                    left = counts_get(pair, 0) - 1
+                    if left <= 0:
                         counts_pop(pair, None)
                         active_peers[a].discard(b)
                         active_peers[b].discard(a)
                     else:
-                        counts[pair] = remaining
+                        counts[pair] = left
+                    if tracer is not None:
+                        tracer.emit("contact_end", time,
+                                    a=node_of[a], b=node_of[b])
+                    if hooks:
+                        protocol.on_contact_end(node_of[a], node_of[b], time,
+                                                history)
                 elif kind == CREATE:
                     on_create(time, message_list[a])
                 else:  # EXPIRE
                     on_expire(time, message_list[a])
-
-    def _on_contact_start(self, time, a: int, b: int) -> None:
-        if self._run_tracer is not None:
-            node_of = self._node_of
-            self._run_tracer.emit("contact_start", time,
-                                  a=node_of[a], b=node_of[b])
-        if not self._fastpath:
-            node_of = self._node_of
-            self._history.record(node_of[a], node_of[b], time)
-            self._protocol.on_contact_start(node_of[a], node_of[b], time,
-                                            self._history)
-        counts = self._active_counts
-        pair = a * self._num_nodes + b
-        counts[pair] = counts.get(pair, 0) + 1
-        self._active_peers[a].add(b)
-        self._active_peers[b].add(a)
-        # both endpoints offer each other their carried messages; the
-        # second screen rereads the stop mask because the first direction
-        # may deliver (_offer documents why skipping is counter-neutral)
-        carried_bits = self._carried_bits
-        ever_bits = self._ever_bits
-        cand = carried_bits[a] & ~(ever_bits[b] | self._stop_bits)
-        if cand:
-            self._offer(a, b, time, cand)
-        cand = carried_bits[b] & ~(ever_bits[a] | self._stop_bits)
-        if cand:
-            self._offer(b, a, time, cand)
-
-    def _on_contact_end(self, time, a: int, b: int) -> None:
-        counts = self._active_counts
-        pair = a * self._num_nodes + b
-        remaining = counts.get(pair, 0) - 1
-        if remaining <= 0:
-            counts.pop(pair, None)
-            self._active_peers[a].discard(b)
-            self._active_peers[b].discard(a)
-        else:
-            counts[pair] = remaining
-        if self._run_tracer is not None:
-            node_of = self._node_of
-            self._run_tracer.emit("contact_end", time,
-                                  a=node_of[a], b=node_of[b])
-        if not self._fastpath:
-            node_of = self._node_of
-            self._protocol.on_contact_end(node_of[a], node_of[b], time,
-                                          self._history)
+                if telemetry is not None:
+                    remaining -= 1
+                    if telemetry.event(_KIND_NAMES[kind], remaining):
+                        telemetry.sample_buffers(
+                            time,
+                            sum(self._buf_used) if self._fastbuf
+                            else sum(buffer.used for buffer in self._buffers))
 
     def _on_create(self, time, message: Message) -> None:
         tracer = self._run_tracer
@@ -622,28 +585,38 @@ class VectorSimulator:
         ``RoutingProtocol.vector_approvals`` docstring.
         """
         slot_of = self._slot_of
-        carried = [mid for mid in list(self._carried[carrier])
-                   if (cand >> slot_of[mid]) & 1]
+        by_id = self._messages_by_id
+        batch = [by_id[mid] for mid in list(self._carried[carrier])
+                 if (cand >> slot_of[mid]) & 1]
+        attempt = self._attempt
         approvals_fn = self._approvals_fn
         if approvals_fn is None:
-            by_id = self._messages_by_id
-            for message_id in carried:
-                self._attempt(by_id[message_id], carrier, peer, time)
+            for message in batch:
+                attempt(message, carrier, peer, time)
             return
-        by_id = self._messages_by_id
-        batch = [by_id[mid] for mid in carried]
         node_of = self._node_of
         verdicts = approvals_fn(node_of[carrier], node_of[peer], batch, time)
         for message, approved in zip(batch, verdicts):
-            self._attempt_batched(message, carrier, peer, time, approved)
+            attempt(message, carrier, peer, time, approved=approved)
 
-    def _attempt_batched(self, message: Message, carrier: int, peer: int,
-                         time, approved: bool) -> bool:
-        """`_attempt` with the forwarding verdict supplied by the batch.
+    def _attempt(self, message: Message, carrier: int, peer: int, time,
+                 cascade: bool = True,
+                 approved: Optional[bool] = None) -> bool:
+        """Attempt to move *message* from *carrier* to *peer* at *time*.
 
-        The decision counters are charged exactly as a scalar
-        ``should_forward`` would charge them (one decision per
-        non-destination offer, one approval per True verdict), keeping
+        Guard order mirrors :meth:`DesSimulator._attempt` minus the fault
+        guards and the receive-time guard, none of which can fire here.
+        The DES engine needs the latter because a delayed channel lets a
+        reception outlive its contact; on the native path every reception
+        happens at the current event time of a time-sorted replay, so a
+        carrier never holds a copy received after *time* — and a hop
+        column keeps only the hop count.
+
+        With ``approved=None`` the protocol decides through a scalar
+        ``should_forward``; otherwise *approved* is the message's verdict
+        from a ``vector_approvals`` batch, charged to the decision
+        counters exactly as the scalar call would charge it (one decision
+        per non-destination offer, one approval per True verdict), keeping
         ``ResourceStats`` identical to a DES run.
         """
         message_id = message.id
@@ -655,66 +628,33 @@ class VectorSimulator:
             return False
         if self._ever_bits[peer] & bit:
             return False
-        hops = self._hops[slot][carrier]
+        hops = self._hops[slot][carrier] + 1
+        node_of = self._node_of
+        if peer == self._dest_of[message_id]:
+            # mirror the DES engine: delivery needs no decision and
+            # triggers neither a cascade from the destination nor a
+            # hand-off removal
+            return self._receive(message, peer, time, hops, carrier)
         counter = self._counter
-        if peer != self._dest_of[message_id]:
+        if approved is None:
+            if not counter.should_forward(node_of[carrier], node_of[peer],
+                                          message, time, self._history):
+                return False
+        else:
             counter.decisions += 1
             if not approved:
                 return False
             counter.approvals += 1
-        return self._transfer(message, carrier, peer, time, hops + 1,
-                              cascade=True)
-
-    def _attempt(self, message: Message, carrier: int, peer: int, time,
-                 cascade: bool = True) -> bool:
-        """Attempt to move *message* from *carrier* to *peer* at *time*.
-
-        Guard order mirrors :meth:`DesSimulator._attempt` minus the fault
-        guards and the receive-time guard, none of which can fire here.
-        The DES engine needs the latter because a delayed channel lets a
-        reception outlive its contact; on the native path every reception
-        happens at the current event time of a time-sorted replay, so a
-        carrier never holds a copy received after *time* — and a hop
-        column keeps only the hop count.
-        """
-        message_id = message.id
-        slot = self._slot_of[message_id]
-        bit = 1 << slot
-        if not (self._carried_bits[carrier] & bit):
+        if not self._receive(message, peer, time, hops, carrier):
             return False
-        if self._stop_bits & bit:
-            return False
-        if self._ever_bits[peer] & bit:
-            return False
-        hops = self._hops[slot][carrier]
-        if peer != self._dest_of[message_id]:
-            node_of = self._node_of
-            if not self._counter.should_forward(
-                    node_of[carrier], node_of[peer], message, time,
-                    self._history):
-                return False
-        return self._transfer(message, carrier, peer, time, hops + 1,
-                              cascade=cascade)
-
-    def _transfer(self, message: Message, carrier: int, peer: int, time,
-                  hops: int, cascade: bool) -> bool:
-        """The shared post-decision tail of an instantaneous attempt."""
-        received = self._receive(message, peer, time, hops, carrier)
-        if not received:
-            return False
-        if peer == self._dest_of[message.id]:
-            # mirror the DES engine: delivery neither triggers a cascade
-            # from the destination nor a hand-off removal
-            return True
-        node_of = self._node_of
         self._protocol.on_forwarded(message, node_of[carrier], node_of[peer],
                                     time)
         if self._run_tracer is not None:
-            self._run_tracer.emit("forward", time, msg=message.id,
+            self._run_tracer.emit("forward", time, msg=message_id,
                                   src=node_of[carrier], dst=node_of[peer],
                                   hops=hops)
         if not self._copy:
-            self._drop_copy(carrier, message.id)
+            self._drop_copy(carrier, message_id)
         if cascade:
             self._cascade(message, peer, time)
         return True
@@ -752,7 +692,7 @@ class VectorSimulator:
         """One direction of a contact on the flood gate: land the whole
         candidate batch, then flood once from *peer* with every landed
         message except those *peer* is the destination of (a delivery by
-        the contact itself relays no further, as in :meth:`_transfer`)."""
+        the contact itself relays no further, as in :meth:`_attempt`)."""
         landed = self._land(carrier, peer, time, cand)
         landed &= ~self._dest_bits[peer]
         if landed:
@@ -789,11 +729,12 @@ class VectorSimulator:
 
         Messages destined for *peer* land without a decision (minimal
         progress); every other one is charged one decision, and one
-        approval if its verdict is True, exactly as :meth:`_attempt_batched`
-        charges them.  The bookkeeping is :meth:`_receive` and
-        :meth:`_transfer` for infinite buffers and ``copy`` semantics,
-        applied to the whole batch: with one effective size the float
-        occupancy sum, and so its peak, does not depend on the order.
+        approval if its verdict is True, exactly as :meth:`_attempt`
+        charges a batch verdict.  The bookkeeping is that of
+        :meth:`_attempt` and :meth:`_receive` for infinite buffers and
+        ``copy`` semantics, applied to the whole batch: with one effective
+        size the float occupancy sum, and so its peak, does not depend on
+        the order.
         """
         message_list = self._message_list
         hop_columns = self._hops
@@ -891,10 +832,7 @@ class VectorSimulator:
                             delay=time - message.creation_time,
                             src=self._node_of[carrier])
         if admitted:
-            column = self._hops[slot]
-            if column is None:  # defensive: columns exist while copies move
-                column = self._hops[slot] = self._unheld[:]
-            column[peer] = hops
+            self._hops[slot][peer] = hops
             self._carried[peer].add(message_id)
             self._carried_bits[peer] |= bit
             if evicted:
@@ -903,9 +841,7 @@ class VectorSimulator:
 
     def _drop_copy(self, node: int, message_id: int) -> None:
         slot = self._slot_of[message_id]
-        column = self._hops[slot]
-        if column is not None:
-            column[node] = -1
+        self._hops[slot][node] = -1
         self._carried[node].discard(message_id)
         self._carried_bits[node] &= ~(1 << slot)
         if self._fastbuf:
@@ -920,9 +856,7 @@ class VectorSimulator:
         tracer = self._run_tracer
         for entry in evicted:
             slot = self._slot_of[entry.message_id]
-            column = self._hops[slot]
-            if column is not None:
-                column[node] = -1
+            self._hops[slot][node] = -1
             self._carried[node].discard(entry.message_id)
             self._carried_bits[node] &= ~(1 << slot)
             if tracer is not None:

@@ -22,7 +22,13 @@ from repro.obs import (
     read_trace,
     write_metrics_json,
 )
-from repro.sim import DesSimulator, run_scenario
+from repro.routing.registry import protocol_by_name
+from repro.sim import (
+    DesSimulator,
+    ResourceConstraints,
+    VectorSimulator,
+    run_scenario,
+)
 
 _SCALE = 0.2
 _RATE = 0.01
@@ -109,6 +115,35 @@ class TestEngineIntegration:
         bare = self._run(simulator_class, None)
         assert bare.outcomes == result.outcomes
         assert bare.copies_sent == result.copies_sent
+
+    @pytest.mark.parametrize("protocol_name, options", [
+        ("Epidemic", {}),
+        ("Epidemic", {"buffer_capacity": 4.0, "ttl": 900.0}),
+        ("PRoPHET", {}),
+        ("Greedy", {"buffer_capacity": 4.0}),
+    ], ids=["epidemic", "epidemic-buffer-ttl", "prophet", "greedy-buffer"])
+    def test_vector_telemetry_equals_des_telemetry(self, protocol_name,
+                                                   options):
+        """A native vector run counts and samples exactly the events the
+        DES engine does, on the fast path and the hook path alike."""
+        trace = load_dataset(PAPER_DATASET_KEYS[0], scale=_SCALE,
+                             contact_scale=_SCALE)
+        messages = PoissonMessageWorkload(rate=_RATE).generate(trace, seed=11)
+
+        def telemetry_of(simulator_class):
+            telemetry = EngineTelemetry(sample_every=8)
+            simulator_class(trace, protocol_by_name(protocol_name),
+                            constraints=ResourceConstraints(**options),
+                            telemetry=telemetry).run(messages)
+            return telemetry
+
+        des, vec = telemetry_of(DesSimulator), telemetry_of(VectorSimulator)
+        assert (des.engine, vec.engine) == ("des", "vector")
+        assert vec.events == des.events > 0
+        assert vec.events_by_kind == des.events_by_kind
+        assert vec.peak_queue_depth == des.peak_queue_depth
+        assert vec.buffer_occupancy == des.buffer_occupancy
+        assert vec.buffer_occupancy, "sample_every=8 must sample"
 
     def test_forwarding_simulator_populates_telemetry(self):
         from repro.forwarding import ForwardingSimulator

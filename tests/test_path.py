@@ -7,6 +7,7 @@ import pytest
 from repro.contacts import Contact, ContactTrace
 from repro.core import (
     Path,
+    PathEnumerator,
     SpaceTimeGraph,
     is_loop_free,
     is_time_feasible,
@@ -153,6 +154,21 @@ class TestFirstPreference:
         graph = SpaceTimeGraph(trace, delta=10.0)
         path = Path(hops=((0, 25.0), (1, 40.0), (2, 70.0)))
         assert respects_first_preference(path, graph, 2)
+
+    def test_creation_at_a_multiple_of_delta_starts_that_step(self):
+        # Created at 150 s (a multiple of Δ = 10) during a contact with the
+        # destination: the creation lies in step 15, so the holder's step-14
+        # contact predates the message and the direct hand-off is valid.
+        trace = ContactTrace([Contact(145.0, 165.0, 3, 4)], nodes=range(10),
+                             duration=215.0)
+        graph = SpaceTimeGraph(trace, delta=10.0)
+        path = Path(hops=((4, 150.0), (3, 160.0)))
+        assert respects_first_preference(path, graph, 3)
+        assert is_valid_path(path, graph, 3)
+        for engine in ("fast", "reference"):
+            result = PathEnumerator(graph, k=30, engine=engine).enumerate(
+                4, 3, 150.0, max_total_deliveries=30)
+            assert [d.path for d in result.deliveries] == [path]
 
 
 class TestCombinedValidity:

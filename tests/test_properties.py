@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import empirical_cdf, exponential_growth_rate
@@ -91,17 +91,31 @@ class TestContactProperties:
 # ----------------------------------------------------------------------
 # Space-time graph and enumeration invariants
 # ----------------------------------------------------------------------
+@st.composite
+def enumeration_case_strategy(draw):
+    """A trace plus a source, a distinct destination and a creation time
+    in the first half of the trace."""
+    trace = draw(trace_strategy(min_contacts=3))
+    nodes = sorted(trace.nodes)
+    source = draw(st.sampled_from(nodes))
+    destination = draw(st.sampled_from([n for n in nodes if n != source]))
+    t1 = draw(st.floats(min_value=0.0, max_value=trace.duration / 2,
+                        allow_nan=False))
+    return trace, source, destination, t1
+
+
 class TestEnumerationProperties:
-    @given(trace=trace_strategy(min_contacts=3), data=st.data())
+    @given(case=enumeration_case_strategy())
+    # a creation at an exact multiple of Δ inside a contact with the
+    # destination: the direct hand-off is first preference
+    @example(case=(ContactTrace([Contact(145.0, 165.0, 3, 4)],
+                                nodes=range(10), duration=215.0),
+                   4, 3, 150.0))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_every_enumerated_path_is_valid(self, trace, data):
+    def test_every_enumerated_path_is_valid(self, case):
+        trace, source, destination, t1 = case
         graph = SpaceTimeGraph(trace, delta=10.0)
-        nodes = sorted(trace.nodes)
-        source = data.draw(st.sampled_from(nodes))
-        destination = data.draw(st.sampled_from([n for n in nodes if n != source]))
-        t1 = data.draw(st.floats(min_value=0.0, max_value=trace.duration / 2,
-                                 allow_nan=False))
         enumerator = PathEnumerator(graph, k=30)
         result = enumerator.enumerate(source, destination, t1,
                                       max_total_deliveries=30)

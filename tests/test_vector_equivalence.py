@@ -276,21 +276,27 @@ def test_city_expiry_and_eviction_over_hop_columns_match_des(
 # ----------------------------------------------------------------------
 def test_traced_vector_run_is_byte_identical_to_des(tmp_path):
     """The buffered tracer preserves the exact event stream: JSONL files
-    from both engines match byte for byte, also when the general loop
-    replays the timeline one event per chunk."""
+    from both engines match byte for byte on the fast path, the hook path
+    and with finite buffers, also when the replay loop walks the timeline
+    one event per chunk."""
     trace = load_dataset("conext06-9-12", scale=_SCALE, contact_scale=_SCALE)
     messages = _workload(trace, seed=53)
-    des_path = tmp_path / "des.jsonl"
-    with JsonlTracer(des_path) as tracer:
-        DesSimulator(trace, protocol_by_name("Epidemic"),
-                     tracer=tracer).run(messages)
-    for chunk in (vector._CHUNK, 1):
-        vec_path = tmp_path / f"vec-{chunk}.jsonl"
-        with mock.patch.object(vector, "_CHUNK", chunk), \
-                JsonlTracer(vec_path) as tracer:
-            VectorSimulator(trace, protocol_by_name("Epidemic"),
-                            tracer=tracer).run(messages)
-        assert des_path.read_bytes() == vec_path.read_bytes(), chunk
+    for protocol_name, options in (("Epidemic", {}), ("PRoPHET", {}),
+                                   ("Greedy", {"buffer_capacity": 4.0})):
+        constraints = ResourceConstraints(**options)
+        des_path = tmp_path / f"des-{protocol_name}.jsonl"
+        with JsonlTracer(des_path) as tracer:
+            DesSimulator(trace, protocol_by_name(protocol_name),
+                         constraints=constraints, tracer=tracer).run(messages)
+        for chunk in (vector._CHUNK, 1):
+            vec_path = tmp_path / f"vec-{protocol_name}-{chunk}.jsonl"
+            with mock.patch.object(vector, "_CHUNK", chunk), \
+                    JsonlTracer(vec_path) as tracer:
+                VectorSimulator(trace, protocol_by_name(protocol_name),
+                                constraints=constraints,
+                                tracer=tracer).run(messages)
+            assert des_path.read_bytes() == vec_path.read_bytes(), (
+                protocol_name, chunk)
 
 
 def test_code_path_reports_the_gate_each_run_takes():
