@@ -42,12 +42,14 @@ import time
 from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
-for path in (_HERE, _HERE.parent / "src"):
+# tests/ holds the trace-driven oracle (tests/oracles/trace_engine.py)
+for path in (_HERE, _HERE.parent / "src", _HERE.parent / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from oracles.trace_engine import TraceEngine  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
-from repro.forwarding import ForwardingSimulator, PoissonMessageWorkload  # noqa: E402
+from repro.forwarding import PoissonMessageWorkload  # noqa: E402
 from repro.forwarding.algorithms import algorithm_by_name  # noqa: E402
 from repro.obs import EngineTelemetry, JsonlTracer, RecordingTracer  # noqa: E402
 from repro.sim import DesSimulator  # noqa: E402
@@ -55,7 +57,8 @@ from repro.sim import DesSimulator  # noqa: E402
 DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_obs.json"
 DEFAULT_BASELINE_JSON = _HERE.parent / "BENCH_sim.json"
 ALGORITHMS = ("Epidemic", "Greedy", "Dynamic Programming")
-ENGINES = {"trace": ForwardingSimulator, "des": DesSimulator}
+#: "trace" is the trace-driven oracle (tests/oracles/trace_engine.py)
+ENGINES = {"trace": TraceEngine, "des": DesSimulator}
 
 
 def _time_runs(factory, repeats: int) -> list:

@@ -2,8 +2,9 @@
 """Benchmark: the protocol zoo on the paper dataset stand-ins.
 
 Times one Poisson-workload replay of every registered protocol (the paper
-six plus the stateful zoo) in both
-engines on the benchmark-scale primary dataset, and records the delivery /
+six plus the stateful zoo) in the trace-driven oracle
+(``tests/oracles/trace_engine.py``) and the DES engine on the
+benchmark-scale primary dataset, and records the delivery /
 overhead profile (success rate, copies per delivery) so the routing
 subsystem's perf *and* quality trajectory is tracked across PRs.
 
@@ -29,12 +30,14 @@ import time
 from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
-for path in (_HERE, _HERE.parent / "src"):
+# tests/ holds the trace-driven oracle (tests/oracles/trace_engine.py)
+for path in (_HERE, _HERE.parent / "src", _HERE.parent / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from oracles.trace_engine import TraceEngine  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
-from repro.forwarding import ForwardingSimulator, PoissonMessageWorkload  # noqa: E402
+from repro.forwarding import PoissonMessageWorkload  # noqa: E402
 from repro.routing import protocol_by_name, protocol_names  # noqa: E402
 from repro.scenario.traces import GridRandomWaypointTraceSpec  # noqa: E402
 from repro.sim import DesSimulator, VectorSimulator  # noqa: E402
@@ -112,12 +115,12 @@ def main() -> None:
     records = {}
     for name in protocol_names():
         trace_samples = _time_runs(
-            lambda: ForwardingSimulator(trace, protocol_by_name(name)).run(messages),
+            lambda: TraceEngine(trace, protocol_by_name(name)).run(messages),
             repeats)
         des_samples = _time_runs(
             lambda: DesSimulator(trace, protocol_by_name(name)).run(messages),
             repeats)
-        result = ForwardingSimulator(trace, protocol_by_name(name)).run(messages)
+        result = TraceEngine(trace, protocol_by_name(name)).run(messages)
         summary = result.summary()
         trace_median = statistics.median(trace_samples)
         des_median = statistics.median(des_samples)

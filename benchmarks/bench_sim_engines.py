@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark: trace-driven simulator vs the DES engine vs the vector kernel.
+"""Benchmark: trace-driven oracle vs the DES engine vs the vector kernel.
 
 Two sections share one ``BENCH_sim.json`` artifact:
 
 * **dataset records** — the Section 6 forwarding replay of one Poisson
   workload on the benchmark-scale primary dataset with (a) the idealized
-  trace-driven simulator, (b) the DES engine with constraints disabled
-  (same results, measures the event-queue overhead) and (c) the DES
+  trace-driven engine (the test oracle ``tests/oracles/trace_engine.py``),
+  (b) the DES engine with constraints disabled (same results, measures
+  the event-queue overhead) and (c) the DES
   engine under a representative constraint set, timed in interleaved
   rounds; ``des_overhead`` is the median of the per-round (b)/(a) ratios;
 * **vector record** — the city-scale ``engine="vector"`` headline: the
@@ -38,12 +39,14 @@ import tracemalloc
 from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
-for path in (_HERE, _HERE.parent / "src"):
+# tests/ holds the trace-driven oracle (tests/oracles/trace_engine.py)
+for path in (_HERE, _HERE.parent / "src", _HERE.parent / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from oracles.trace_engine import TraceEngine  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
-from repro.forwarding import ForwardingSimulator, PoissonMessageWorkload  # noqa: E402
+from repro.forwarding import PoissonMessageWorkload  # noqa: E402
 from repro.forwarding.algorithms import algorithm_by_name  # noqa: E402
 from repro.routing.registry import protocol_by_name  # noqa: E402
 from repro.sim import (  # noqa: E402
@@ -105,7 +108,7 @@ def _bench_dataset_engines(quick: bool) -> dict:
     records = {}
     for name in ALGORITHMS:
         runs = {
-            "trace_driven": lambda: ForwardingSimulator(
+            "trace_driven": lambda: TraceEngine(
                 trace, algorithm_by_name(name)).run(messages),
             "des_unconstrained": lambda: DesSimulator(
                 trace, algorithm_by_name(name)).run(messages),

@@ -12,7 +12,7 @@ The library is organised in layers (see README.md):
   valid path enumeration, path-explosion analysis, in/out pair types, and the
   hop-gradient analysis;
 * :mod:`repro.model` — the analytic path-explosion model of Section 5;
-* :mod:`repro.forwarding` — the trace-driven simulator, the
+* :mod:`repro.forwarding` — the Section 6 forwarding simulator, the
   ``RoutingProtocol`` API and the six forwarding algorithms of Section 6;
 * :mod:`repro.routing` — the protocol lifecycle, the stateful protocol zoo
   (spray-and-wait, PRoPHET, hypergossip, …), the protocol registry and the

@@ -1,4 +1,4 @@
-"""Trace-driven forwarding simulation and the six algorithms of Section 6."""
+"""Forwarding simulation (on the vector kernel) and the six algorithms of Section 6."""
 
 from .algorithms import (
     DynamicProgrammingForwarding,

@@ -38,9 +38,10 @@ class Message:
     """A unicast message ``(σ, δ, t1)`` with a stable identifier.
 
     ``size`` (bytes) and ``ttl`` (seconds from creation, ``None`` = never
-    expires) are ignored by the idealized trace-driven simulator — the paper
-    assumes infinite buffers, instantaneous exchanges and no expiry — and
-    consumed by the resource-constrained engine in :mod:`repro.sim`.
+    expires) are ignored by the idealized
+    :class:`~repro.forwarding.ForwardingSimulator` — the paper assumes
+    infinite buffers, instantaneous exchanges and no expiry — and consumed
+    by the resource-constrained engines in :mod:`repro.sim`.
     """
 
     id: int

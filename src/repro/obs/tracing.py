@@ -1,7 +1,8 @@
 """Structured trace events: an opt-in probe API for both engines.
 
 A tracer is any object with ``emit(event, time, **fields)``.  Both
-:class:`~repro.forwarding.ForwardingSimulator` and
+:class:`~repro.sim.VectorSimulator` (also through
+:class:`~repro.forwarding.ForwardingSimulator`) and
 :class:`~repro.sim.DesSimulator` accept one via their ``tracer`` argument;
 the default is ``None`` and every probe site is guarded by a single
 ``is not None`` check, so a tracerless run allocates nothing on the hot

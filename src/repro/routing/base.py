@@ -28,8 +28,8 @@ persistent state* that evolves with the contact process.  A
 ``on_delivered(message, now)``
     the message reached its destination (first delivery only).
 
-Both engines — the trace-driven :class:`repro.forwarding.ForwardingSimulator`
-and the resource-constrained :class:`repro.sim.DesSimulator` — invoke the
+Both engines — the vector kernel :class:`repro.sim.VectorSimulator` and
+the resource-constrained :class:`repro.sim.DesSimulator` — invoke the
 hooks at the same points in the same event order, so a deterministic
 protocol produces identical delivery streams in both (enforced by
 ``tests/test_routing_equivalence.py``).  Delivery to the destination itself

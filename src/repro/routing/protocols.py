@@ -228,7 +228,9 @@ class ProphetProtocol(RoutingProtocol):
     when it is full.  Memory is ``8 n^2`` bytes: 8 MB at 1 000 nodes,
     800 MB at 10 000.  Each contact is a handful of row operations, so
     the per-contact cost is a few vectorised passes over ``n`` floats
-    instead of a Python walk over the peer's table.
+    instead of a Python walk over the peer's table.  The row views are
+    kept in a list (rebuilt whenever the matrix is), so a contact indexes
+    no matrix.
 
     **Bit-identity.**  The results equal those of per-node dict tables
     bit for bit, with no tolerance: (1) the row operations apply the same
@@ -237,7 +239,10 @@ class ProphetProtocol(RoutingProtocol):
     the same ``now > last`` guard; (2) ``np.maximum`` equals the
     strict-``>`` update on the finite, non-negative values the entries
     take; (3) a zero entry behaves exactly like an absent key, for aging
-    (``0 * factor == 0``), transitivity (it lifts nothing) and reads.
+    (``0 * factor == 0``), transitivity (it lifts nothing) and reads;
+    (4) the diagonal stays zero (endpoints differ, and transitivity zeroes
+    the learner's own column), so the candidate for the peer's own column
+    is already zero, as the dict version skips ``c == b``.
     Direction two of the transitivity update reads the row direction one
     just wrote, as the dict version did.
     """
@@ -270,6 +275,7 @@ class ProphetProtocol(RoutingProtocol):
             node: index for index, node in enumerate(nodes)}
         size = max(len(self._index), 1)
         self._p = np.zeros((size, size))
+        self._rows = list(self._p)
         self._scratch = np.empty(size)
         self._last: List[float] = [math.nan] * size
 
@@ -281,6 +287,7 @@ class ProphetProtocol(RoutingProtocol):
             grown = np.zeros((2 * size, 2 * size))
             grown[:size, :size] = self._p
             self._p = grown
+            self._rows = list(grown)
             self._scratch = np.empty(2 * size)
             self._last.extend([math.nan] * size)
         return index
@@ -293,8 +300,8 @@ class ProphetProtocol(RoutingProtocol):
             index = self._add(node)
         last = self._last[index]
         if now > last:
-            row = self._p[index]
-            row *= self.gamma ** ((now - last) / self.aging_interval)
+            self._rows[index] *= self.gamma ** (
+                (now - last) / self.aging_interval)
         if not last > now:  # max(now, last); a NaN (never aged) gives now
             self._last[index] = now
         return index
@@ -314,21 +321,37 @@ class ProphetProtocol(RoutingProtocol):
         return 0.0 if column is None else self._p.item(index, column)
 
     def on_contact_start(self, a, b, now, history) -> None:
-        i = self._age(a, now)
-        j = self._age(b, now)
-        p = self._p
-        p_ab = p.item(i, j)
-        p[i, j] = p_ab + (1.0 - p_ab) * self.p_encounter
-        p_ba = p.item(j, i)
-        p[j, i] = p_ba + (1.0 - p_ba) * self.p_encounter
+        index = self._index
+        i = index.get(a)
+        if i is None:
+            i = self._add(a)
+        j = index.get(b)
+        if j is None:
+            j = self._add(b)
+        rows, last = self._rows, self._last
+        row_i, row_j = rows[i], rows[j]
+        # _age(a, now), then _age(b, now), inlined
+        then = last[i]
+        if now > then:
+            row_i *= self.gamma ** ((now - then) / self.aging_interval)
+        if not then > now:
+            last[i] = now
+        then = last[j]
+        if now > then:
+            row_j *= self.gamma ** ((now - then) / self.aging_interval)
+        if not then > now:
+            last[j] = now
+        p_ab = row_i.item(j)
+        row_i[j] = p_ab + (1.0 - p_ab) * self.p_encounter
+        p_ba = row_j.item(i)
+        row_j[i] = p_ba + (1.0 - p_ba) * self.p_encounter
         # transitivity: each endpoint learns through the other
-        scratch = self._scratch
-        for mine, theirs in ((i, j), (j, i)):
-            np.multiply(p[theirs], p.item(mine, theirs), out=scratch)
-            scratch *= self.beta
+        scratch, beta = self._scratch, self.beta
+        for mine, row, theirs, via in ((i, row_i, j, row_j),
+                                       (j, row_j, i, row_i)):
+            np.multiply(via, row.item(theirs), out=scratch)
+            scratch *= beta
             scratch[mine] = 0.0
-            scratch[theirs] = 0.0
-            row = p[mine]
             np.maximum(row, scratch, out=row)
 
     def should_forward(self, carrier, peer, message, now, history) -> bool:

@@ -8,8 +8,8 @@ bandwidth-limited contacts and message TTL, a scenario registry
 (:mod:`repro.sim.cli`).
 
 With all constraints disabled the engine is delivery-stream-equivalent to
-the trace-driven :class:`repro.forwarding.ForwardingSimulator`; the paper's
-six forwarding algorithms run unchanged in both engines.
+the vector kernel (:mod:`repro.sim.vector`) that runs every simulation; the
+paper's six forwarding algorithms run unchanged in both engines.
 """
 
 from .buffers import (

@@ -35,6 +35,7 @@ import argparse
 import json
 import sys
 import time
+import timeit
 from typing import List, Optional, Sequence
 
 from ..analysis.tables import format_table
@@ -46,6 +47,7 @@ from ..scenario import SPEC_CATEGORIES, ScenarioSpec, spec_kinds
 from .engine import DesSimulator, ResourceConstraints
 from .runner import SWEEPABLE_PARAMETERS, run_scenario, sweep_scenario
 from .scenarios import get_scenario, scenarios
+from .vector import VectorSimulator
 
 __all__ = ["main", "build_parser"]
 
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_svc_commands(commands)
 
     bench = commands.add_parser(
-        "bench", help="time the DES engine against the trace-driven simulator")
+        "bench", help="time the DES engine against the vector kernel")
     bench.add_argument("--scenario", default="paper-ideal",
                        help="scenario supplying trace and workload "
                             "(default: paper-ideal)")
@@ -351,8 +353,6 @@ def _dispatch_scenario_command(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from ..forwarding.simulator import ForwardingSimulator
-
     scenario = get_scenario(args.scenario)
     trace = scenario.build_trace()
     messages = scenario.build_messages(trace, 0)
@@ -362,18 +362,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ResourceConstraints(buffer_capacity=4.0, ttl=trace.duration / 4.0)
 
     def _time(factory) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            factory()
-            best = min(best, time.perf_counter() - started)
-        return best
+        return min(timeit.repeat(factory, number=1, repeat=repeats))
 
     rows = []
     for algorithm in algorithms:
         name = algorithm.name
-        trace_seconds = _time(
-            lambda: ForwardingSimulator(trace, algorithm).run(messages))
+        vector_seconds = _time(
+            lambda: VectorSimulator(trace, algorithm).run(messages))
         des_seconds = _time(
             lambda: DesSimulator(trace, algorithm).run(messages))
         des_constrained_seconds = _time(
@@ -381,11 +376,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                  constraints=constrained).run(messages))
         rows.append({
             "algorithm": name,
-            "trace_driven_ms": round(trace_seconds * 1e3, 2),
+            "vector_ms": round(vector_seconds * 1e3, 2),
             "des_ideal_ms": round(des_seconds * 1e3, 2),
             "des_constrained_ms": round(des_constrained_seconds * 1e3, 2),
-            "des/trace": round(des_seconds / trace_seconds, 2)
-            if trace_seconds > 0 else None,
+            "des/vector": round(des_seconds / vector_seconds, 2)
+            if vector_seconds > 0 else None,
         })
     print(f"engine timing on scenario {scenario.name!r} "
           f"({trace.num_nodes} nodes, {len(trace)} contacts, "

@@ -1,7 +1,6 @@
 """Resource-constrained discrete-event forwarding engine.
 
-The trace-driven simulator of Section 6 (:class:`repro.forwarding.
-ForwardingSimulator`) replays contacts under the paper's idealized
+The paper's Section 6 simulation replays contacts under idealized
 assumptions: infinite buffers, instantaneous bidirectional exchanges, no
 message expiry.  :class:`DesSimulator` is an event-driven engine (heap-based
 queue, no simpy dependency) that relaxes each assumption independently via
@@ -28,7 +27,8 @@ queue, no simpy dependency) that relaxes each assumption independently via
 Equivalence guarantee
 ---------------------
 With every constraint disabled (the default :data:`UNCONSTRAINED`), the
-engine reproduces the trace-driven simulator *exactly*: the same event
+engine reproduces the trace-driven replay of Section 6 (kept as a test
+oracle, ``tests/oracles/trace_engine.py``) *exactly*: the same event
 encoding (contact starts < ends < creations at equal times, in trace/message
 order), the same exchange order on contact start (both endpoints offer their
 carried messages), the same zero-time relay cascade over active contacts,
@@ -83,7 +83,7 @@ from ..contacts import Contact, ContactTrace
 from ..core.fastpath import NodeInterner
 from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
-from ..forwarding.simulator import DeliveryOutcome, SimulationResult
+from ..forwarding.simulator import SimulationResult, check_endpoints, delivery_outcomes
 from ..routing.base import RoutingProtocol
 from ..scenario.base import ConstraintSpec, register_spec
 from ..synth.seeding import derive_rng
@@ -242,7 +242,7 @@ class ResourceConstraints(ConstraintSpec):
         return replace(self, **changes)
 
 
-#: The idealized configuration: the DES engine equals the trace simulator.
+#: The idealized configuration: the DES engine equals the paper's model.
 UNCONSTRAINED = ResourceConstraints()
 
 
@@ -322,7 +322,7 @@ class _DesState:
     """Mutable per-run DES state over interned node indices.
 
     The contact/holding structures are deliberately the *same types* the
-    trace-driven simulator uses (lists of ``set``), so that in unconstrained
+    trace-driven oracle uses (lists of ``set``), so that in unconstrained
     mode every iteration order — and therefore the delivery stream — is
     identical.
     """
@@ -392,13 +392,13 @@ class DesSimulator:
     algorithm:
         The forwarding strategy, a
         :class:`~repro.routing.RoutingProtocol`; its lifecycle hooks fire
-        at the same points as in the trace-driven simulator.
+        at the same points as in the vector kernel.
     constraints:
         The resource limits; defaults to :data:`UNCONSTRAINED`, in which
         case the run is delivery-stream-equivalent to
         :class:`~repro.forwarding.ForwardingSimulator`.
     copy_semantics, stop_on_delivery:
-        As in the trace-driven simulator.
+        As in :class:`~repro.forwarding.ForwardingSimulator`.
     seed:
         Master seed for the fault models (loss/jitter draws and the churn
         schedule derive their independent streams from it via
@@ -454,13 +454,7 @@ class DesSimulator:
     # ------------------------------------------------------------------
     def run(self, messages: Sequence[Message]) -> ConstrainedSimulationResult:
         """Simulate the delivery of *messages* under the constraints."""
-        for message in messages:
-            if message.source not in self._trace.nodes:
-                raise ValueError(f"message {message.id}: unknown source {message.source}")
-            if message.destination not in self._trace.nodes:
-                raise ValueError(
-                    f"message {message.id}: unknown destination {message.destination}"
-                )
+        check_endpoints(self._trace, messages)
         self._counter = AlgorithmAdapter(self._protocol)
         self._protocol.prepare(self._trace)
 
@@ -472,7 +466,7 @@ class DesSimulator:
         self._stats = ResourceStats()
         queue = self._queue = EventQueue()
 
-        # Initial events, encoded exactly as the trace-driven simulator
+        # Initial events, encoded exactly as the trace-driven oracle
         # encodes them (same kinds-relative order, same sequence assignment)
         # so unconstrained runs sort — and therefore replay — identically.
         initial = []
@@ -534,16 +528,7 @@ class DesSimulator:
         if telemetry is not None:
             telemetry.finish()
 
-        outcomes = []
-        for message in messages:
-            if message.id in state.delivered:
-                delivery_time, hops = state.delivered[message.id]
-                outcomes.append(DeliveryOutcome(message=message, delivered=True,
-                                                delivery_time=delivery_time,
-                                                hop_count=hops))
-            else:
-                outcomes.append(DeliveryOutcome(message=message, delivered=False,
-                                                delivery_time=None, hop_count=None))
+        outcomes = delivery_outcomes(messages, state.delivered)
         stats = self._stats
         stats.peak_buffer_occupancy = max(
             (buffer.peak_used for buffer in state.buffers), default=0.0)
@@ -770,7 +755,7 @@ class DesSimulator:
     # ------------------------------------------------------------------
     def _cascade(self, message: Message, start_node: int, time: float) -> None:
         """Zero-time relay over currently active contacts (mirrors the
-        trace-driven simulator's cascade exactly)."""
+        trace-driven oracle's cascade exactly)."""
         state = self._state
         frontier = [start_node]
         while frontier:
@@ -786,7 +771,7 @@ class DesSimulator:
         Returns True if the peer received a copy instantly (delivery
         included) — a scheduled, bandwidth-delayed transfer returns False
         because the peer holds nothing yet.  Guard order mirrors the
-        trace-driven simulator's ``_try_transfer``.
+        trace-driven oracle's ``_try_transfer``.
         """
         state = self._state
         message_id = message.id

@@ -3,7 +3,7 @@
 An event is the tuple ``(time, kind, sequence, payload)``.  The kind encodes
 the priority of simultaneous events; the relative order of contact starts,
 contact ends and message creations is exactly the one the idealized
-trace-driven simulator uses (starts < ends < creations), which is one of the
+trace-driven replay uses (starts < ends < creations), which is one of the
 ingredients of the engine-equivalence guarantee:
 
 ``EXPIRE``

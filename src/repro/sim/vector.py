@@ -111,7 +111,7 @@ from ..contacts import ContactTrace
 from ..core.fastpath import NodeInterner
 from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
-from ..forwarding.simulator import DeliveryOutcome
+from ..forwarding.simulator import check_endpoints, delivery_outcomes
 from ..routing.base import RoutingProtocol
 from .adapter import AlgorithmAdapter
 from .buffers import BufferEntry, NodeBuffer
@@ -207,14 +207,7 @@ class VectorSimulator:
                 stop_on_delivery=self._stop_on_delivery, seed=self._seed,
                 tracer=self._tracer, telemetry=self._telemetry,
             ).run(messages)
-        for message in messages:
-            if message.source not in self._trace.nodes:
-                raise ValueError(
-                    f"message {message.id}: unknown source {message.source}")
-            if message.destination not in self._trace.nodes:
-                raise ValueError(
-                    f"message {message.id}: unknown destination "
-                    f"{message.destination}")
+        check_endpoints(self._trace, messages)
         if len({m.id for m in messages}) != len(messages):
             raise ValueError("message ids must be unique")
 
@@ -312,18 +305,7 @@ class VectorSimulator:
             # caller's tracer remains the caller's responsibility
             buffered.flush()
 
-        outcomes = []
-        delivered = self._delivered
-        for message in messages:
-            if message.id in delivered:
-                delivery_time, hops = delivered[message.id]
-                outcomes.append(DeliveryOutcome(
-                    message=message, delivered=True,
-                    delivery_time=delivery_time, hop_count=hops))
-            else:
-                outcomes.append(DeliveryOutcome(
-                    message=message, delivered=False,
-                    delivery_time=None, hop_count=None))
+        outcomes = delivery_outcomes(messages, self._delivered)
         if self._fastbuf:
             stats.peak_buffer_occupancy = max(self._buf_peak, default=0.0)
         else:

@@ -172,8 +172,8 @@ class TestDeterminism:
 
     def test_trace_engine_matches_des_when_unconstrained(self):
         """An unconstrained experiment job (vector kernel) equals both the
-        trace-driven simulator and the DES engine run directly."""
-        from repro.forwarding import ForwardingSimulator
+        trace-driven oracle and the DES engine run directly."""
+        from oracles.trace_engine import TraceEngine
         from repro.routing.registry import protocol_by_name
         from repro.sim import DesSimulator
 
@@ -184,7 +184,7 @@ class TestDeterminism:
         got = result.result_for(job)
         trace = job.scenario.build_trace()
         messages = job.scenario.build_messages(trace, job.run_index)
-        ideal = ForwardingSimulator(
+        ideal = TraceEngine(
             trace, protocol_by_name("Epidemic"),
             copy_semantics=job.scenario.copy_semantics).run(messages)
         des = DesSimulator(trace, protocol_by_name("Epidemic"),

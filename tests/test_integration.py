@@ -21,7 +21,7 @@ from repro.core import (
     fraction_of_uphill_hops,
     random_messages,
 )
-from repro.datasets import infocom06_9_12
+from repro.datasets import PAPER_DATASET_KEYS, infocom06_9_12, load_dataset
 from repro.forwarding import (
     EpidemicForwarding,
     Message,
@@ -71,6 +71,26 @@ class TestEnumerationVsEpidemicSimulation:
         # For the bulk of messages the two substrates agree within a few bins.
         within = sum(1 for g in gaps if abs(g) <= 3 * delta)
         assert within >= len(gaps) // 2
+
+    @pytest.mark.parametrize("dataset_key", PAPER_DATASET_KEYS)
+    def test_epidemic_never_beats_the_enumerated_optimum(self, dataset_key):
+        """On every paper stand-in, each message Epidemic delivers has an
+        enumerated optimal path, and the delivery lies within one Δ bin of
+        that optimum."""
+        trace = load_dataset(dataset_key, scale=0.2, contact_scale=0.2)
+        graph = SpaceTimeGraph(trace, delta=10.0)
+        messages = messages_from_tuples(random_messages(trace, 12, seed=21))
+        result = simulate(trace, EpidemicForwarding(), messages)
+        delivered = [(message, outcome) for message, outcome
+                     in zip(messages, result.outcomes) if outcome.delivered]
+        assert delivered, f"{dataset_key}: no delivered messages in the sample"
+        for message, outcome in delivered:
+            optimal = first_delivery_time(graph, message.source,
+                                          message.destination,
+                                          message.creation_time)
+            assert optimal is not None, (dataset_key, message)
+            assert abs(outcome.delivery_time - optimal) <= graph.delta + 1e-9, \
+                (dataset_key, message, outcome.delivery_time, optimal)
 
     def test_enumerator_first_delivery_equals_fast_path(self, trace, graph):
         enumerator = PathEnumerator(graph, k=10)

@@ -3,7 +3,7 @@
 Mirrors ``tests/test_sim_equivalence.py`` for the new stateful protocols:
 every protocol must produce *identical* delivery streams — deliveries,
 first-delivery times, hop counts and total copy counts — in the
-trace-driven :class:`~repro.forwarding.ForwardingSimulator` and the
+trace-driven oracle (``tests/oracles/trace_engine.py``) and the
 unconstrained :class:`~repro.sim.DesSimulator` on the four paper dataset
 stand-ins.  It also pins the six paper algorithms: the protocol registry
 hands out their own classes (there is no wrapper), and each produces the
@@ -13,9 +13,10 @@ same stream in both engines.
 from __future__ import annotations
 
 import pytest
+from oracles.trace_engine import TraceEngine
 
 from repro.datasets import PAPER_DATASET_KEYS, load_dataset
-from repro.forwarding import ForwardingSimulator, PoissonMessageWorkload
+from repro.forwarding import PoissonMessageWorkload
 from repro.forwarding.algorithms import algorithm_by_name, algorithm_names
 from repro.routing import NEW_PROTOCOL_NAMES, protocol_by_name
 from repro.sim import DesSimulator
@@ -48,7 +49,7 @@ def test_new_protocols_identical_across_engines(dataset_key):
     messages = _workload(trace)
     assert messages, "workload must not be empty for the test to mean anything"
     for protocol_name in NEW_PROTOCOL_NAMES:
-        reference = ForwardingSimulator(
+        reference = TraceEngine(
             trace, protocol_by_name(protocol_name)).run(messages)
         candidate = DesSimulator(
             trace, protocol_by_name(protocol_name)).run(messages)
@@ -65,7 +66,7 @@ def test_paper_algorithms_unchanged_under_wrapper(dataset_key):
     for name in algorithm_names():
         assert type(algorithm_by_name(name)) is type(protocol_by_name(name)), \
             name
-        reference = ForwardingSimulator(
+        reference = TraceEngine(
             trace, algorithm_by_name(name)).run(messages)
         des = DesSimulator(trace, protocol_by_name(name)).run(messages)
         _assert_results_equal(reference, des, context=f"des {name}")
@@ -76,8 +77,8 @@ def test_new_protocols_identical_without_stop_on_delivery():
     trace = load_dataset("infocom06-3-6", scale=_SCALE, contact_scale=_SCALE)
     messages = _workload(trace, seed=31)
     for protocol_name in ("Binary Spray-and-Wait", "PRoPHET", "Hypergossip"):
-        reference = ForwardingSimulator(trace, protocol_by_name(protocol_name),
-                                        stop_on_delivery=False).run(messages)
+        reference = TraceEngine(trace, protocol_by_name(protocol_name),
+                                stop_on_delivery=False).run(messages)
         candidate = DesSimulator(trace, protocol_by_name(protocol_name),
                                  stop_on_delivery=False).run(messages)
         _assert_results_equal(reference, candidate,
@@ -91,9 +92,9 @@ def test_new_protocols_are_run_reproducible():
     messages = _workload(trace, seed=23)
     for protocol_name in NEW_PROTOCOL_NAMES:
         protocol = protocol_by_name(protocol_name)
-        first = ForwardingSimulator(trace, protocol).run(messages)
-        second = ForwardingSimulator(trace, protocol).run(messages)
-        fresh = ForwardingSimulator(
+        first = TraceEngine(trace, protocol).run(messages)
+        second = TraceEngine(trace, protocol).run(messages)
+        fresh = TraceEngine(
             trace, protocol_by_name(protocol_name)).run(messages)
         _assert_results_equal(first, second, context=f"rerun {protocol_name}")
         _assert_results_equal(first, fresh, context=f"fresh {protocol_name}")

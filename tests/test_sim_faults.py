@@ -3,7 +3,7 @@
 Three guarantees are pinned here.  First, *null faults change nothing*: a
 ``ChannelSpec`` with zero loss/delay/jitter (and a null ``ChurnSpec``)
 leaves the DES engine delivery-stream-identical to the trace-driven
-simulator on every paper stand-in — the fault layer is provably dormant
+oracle on every paper stand-in — the fault layer is provably dormant
 when disabled.  Second, *faults are seeded environment properties*: the
 loss draws and crash schedules derive from the scenario's master seed, so
 serial, parallel and resumed executions of a lossy grid agree result for
@@ -16,10 +16,11 @@ node's buffer and truncates its open contacts.
 from __future__ import annotations
 
 import pytest
+from oracles.trace_engine import TraceEngine
 
 from repro.contacts import Contact, ContactTrace
 from repro.datasets import PAPER_DATASET_KEYS, load_dataset
-from repro.forwarding import ForwardingSimulator, Message, PoissonMessageWorkload
+from repro.forwarding import Message, PoissonMessageWorkload
 from repro.forwarding.algorithms import algorithm_by_name
 from repro.sim import (
     ChannelSpec,
@@ -71,7 +72,7 @@ class TestNullFaultEquivalence:
         constraints = ResourceConstraints(
             channel=ChannelSpec(loss=0.0, delay=0.0, jitter=0.0),
             churn=ChurnSpec(crash_rate=0.0))
-        reference = ForwardingSimulator(
+        reference = TraceEngine(
             trace, algorithm_by_name("Epidemic")).run(messages)
         candidate = DesSimulator(trace, algorithm_by_name("Epidemic"),
                                  constraints=constraints,

@@ -174,7 +174,7 @@ def test_cli_sweep_and_bench(capsys, tmp_path):
 
     assert main(["bench", "--repeats", "1"]) == 0
     captured = capsys.readouterr().out
-    assert "trace_driven_ms" in captured
+    assert "vector_ms" in captured and "des/vector" in captured
 
 
 # ----------------------------------------------------------------------
