@@ -32,6 +32,7 @@ __all__ = [
     "DEFAULT_BENCHMARK_JSON",
     "regression_benchmarks",
     "run_regression_harness",
+    "time_interleaved",
 ]
 
 #: Scale applied to the paper's 98-node populations for benchmark runs.
@@ -159,15 +160,21 @@ def regression_benchmarks(quick: bool = False) -> List[Tuple[str, Callable[[str]
     return benches
 
 
-def _time_workload(builder: Callable[[str], Callable], engine: str,
-                   rounds: int) -> List[float]:
-    run = builder(engine)
-    timings = []
+def time_interleaved(runs: Dict[str, Callable[[], object]],
+                     rounds: int) -> Dict[str, List[float]]:
+    """Wall-clock samples of every run in *runs*, timed in interleaved
+    rounds: each round times all of them once, back to back.
+
+    A slow stretch of a shared machine then hits a whole round rather than
+    one run, so a ratio taken per round (and then its median) cancels it.
+    """
+    samples: Dict[str, List[float]] = {name: [] for name in runs}
     for _ in range(rounds):
-        start = time.perf_counter()
-        run()
-        timings.append(time.perf_counter() - start)
-    return timings
+        for name, run in runs.items():
+            started = time.perf_counter()
+            run()
+            samples[name].append(time.perf_counter() - started)
+    return samples
 
 
 def run_regression_harness(argv: Optional[Sequence[str]] = None) -> Dict:
@@ -215,7 +222,8 @@ def run_regression_harness(argv: Optional[Sequence[str]] = None) -> Dict:
         entry: Dict = dict(record["benchmarks"].get(name, {}))
         entry["rounds"] = rounds
         for engine in args.engines:
-            samples = _time_workload(builder, engine, rounds)
+            samples = time_interleaved({engine: builder(engine)},
+                                       rounds)[engine]
             entry[f"{engine}_median_s"] = statistics.median(samples)
             entry[f"{engine}_samples_s"] = samples
             print(f"{name} [{engine}]: median "

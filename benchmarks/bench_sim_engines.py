@@ -44,6 +44,7 @@ for path in (_HERE, _HERE.parent / "src", _HERE.parent / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from _bench_utils import time_interleaved  # noqa: E402
 from oracles.trace_engine import TraceEngine  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.forwarding import PoissonMessageWorkload  # noqa: E402
@@ -60,15 +61,6 @@ DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_sim.json"
 ALGORITHMS = ("Epidemic", "Greedy", "Dynamic Programming")
 CONSTRAINED = ResourceConstraints(buffer_capacity=8.0, ttl=2700.0)
 VECTOR_PROTOCOL = "Epidemic"
-
-
-def _time_runs(factory, repeats: int) -> list:
-    samples = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        factory()
-        samples.append(time.perf_counter() - started)
-    return samples
 
 
 def _traced_peak(run) -> int:
@@ -116,13 +108,9 @@ def _bench_dataset_engines(quick: bool) -> dict:
                 trace, algorithm_by_name(name),
                 constraints=CONSTRAINED).run(messages),
         }
-        # interleaved rounds: each round times the three runs back to back,
-        # so a slow stretch of a shared machine hits a whole round, and the
-        # per-round DES/trace ratio cancels it
-        samples = {key: [] for key in runs}
-        for _ in range(repeats):
-            for key, run in runs.items():
-                samples[key] += _time_runs(run, 1)
+        # interleaved rounds: the per-round DES/trace ratio cancels a slow
+        # stretch of a shared machine
+        samples = time_interleaved(runs, repeats)
         trace_samples = samples["trace_driven"]
         des_samples = samples["des_unconstrained"]
         constrained_samples = samples["des_constrained"]
@@ -180,7 +168,8 @@ def _bench_vector_kernel(quick: bool) -> dict:
     if not equal:
         print("  WARNING: vector delivery stream diverged from des; "
               "timings recorded without a speedup claim")
-    vector_samples = _time_runs(_vector_run, vector_repeats)
+    vector_samples = time_interleaved({"vector": _vector_run},
+                                      vector_repeats)["vector"]
     vector_median = statistics.median(vector_samples)
     speedup = des_seconds / vector_median if vector_median else None
     print(f"  vector {vector_median:8.2f} s   (best of {vector_repeats}: "

@@ -38,7 +38,6 @@ _EXPORTS = {
     "FaultPolicy": ".executor",
     "JobFailure": ".executor",
     "JobTimeout": ".executor",
-    "resilient_map": ".executor",
     "DEFAULT_STORE_ROOT": ".store",
     "ExecutionOutcome": ".orchestrator",
     "ExperimentResult": ".orchestrator",
@@ -53,7 +52,7 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
-    from .executor import FaultPolicy, JobFailure, JobTimeout, resilient_map
+    from .executor import FaultPolicy, JobFailure, JobTimeout
     from .hashing import canonical, stable_hash
     from .orchestrator import (
         ExecutionOutcome,

@@ -6,8 +6,11 @@ persistent store.  Each worker keeps a scenario/trace cache keyed by the
 planner's content hashes, so a contact trace (and each run's message
 workload) is built **once per worker**, not once per job; chunked dispatch
 in :func:`repro.exp.pool.process_map` keeps consecutive grid jobs on the
-same worker to maximise cache hits.  Workloads are derived from the scenario's seeding contract, so
-every worker count produces identical results job for job.
+same worker to maximise cache hits.  Workloads are derived from the
+scenario's seeding contract, so every worker count produces identical
+results job for job, and records are persisted in plan order (within each
+retry round), so every worker count writes byte-identical store files,
+strict or under a :class:`~repro.exp.executor.FaultPolicy`.
 
 :func:`run_experiment` adds the store protocol on top: completed jobs
 (matched by content hash) are decoded from the store instead of re-running,
@@ -31,7 +34,7 @@ from ..routing.registry import protocol_by_name
 from ..sim.engine import ConstrainedSimulationResult
 from ..sim.vector import VectorSimulator
 from ..svc.store import ShardedResultStore, open_store
-from .executor import FaultPolicy, JobFailure, resilient_map
+from .executor import FaultPolicy, JobFailure
 from .plan import ExperimentPlan, PlannedJob, build_plan
 from .pool import process_map
 from .records import (
@@ -137,9 +140,11 @@ def execute_plan(
 
     With *store* set and *resume* true, jobs whose content hash is stored
     are decoded instead of simulated, and every newly simulated job is
-    persisted (in plan order, so every *workers* count writes
-    byte-identical files).  ``workers=1`` runs the jobs in this process,
-    ``N > 1`` over a pool of at most N worker processes.
+    persisted as it settles, in plan order within each retry round — so
+    every *workers* count writes byte-identical files, with or without a
+    *policy*.  A pool run killed mid-batch loses the finished jobs queued
+    behind an unsettled earlier one.  ``workers=1`` runs the jobs in this
+    process, ``N > 1`` over a pool of at most N worker processes.
     ``plan.warm_traces`` / ``plan.warm_messages`` pre-seed the worker
     caches — the single-scenario adapters stash the trace they already
     built for their own metadata there, which restores the legacy "ship
@@ -154,8 +159,10 @@ def execute_plan(
     reported in ``outcome.failures``, instead of aborting the run.
     Stored failure records are carried over as failures on resume;
     *retry_failed* re-runs them instead.  Without a policy a stored
-    failure record simply re-runs (legacy strict mode: any job exception
-    propagates, after completed results are drained and persisted).
+    failure record simply re-runs (strict mode: any job exception
+    propagates, after completed results are drained and persisted; a job
+    whose worker died is retried alone on a fresh pool under the default
+    policy's crash budget, then :class:`BrokenProcessPool` is raised).
 
     With an *obs* config, each executed job writes a per-job JSONL trace
     under ``obs.trace_dir`` and/or collects engine telemetry (attached to
@@ -227,46 +234,25 @@ def execute_plan(
                 announced.add(job.job_hash)
                 progress("reused", job, reusable[job.job_hash])
 
-    def _persist(index: int, result: ConstrainedSimulationResult) -> None:
-        # runs in the parent as each result arrives (plan order), so an
-        # interrupted run keeps every completed record; re-invocation after
-        # a pool fallback just re-appends (the store index is last-write-wins)
+    def _persist(index: int,
+                 value: "ConstrainedSimulationResult | JobFailure") -> None:
+        # runs in the parent as each job settles, in plan order within a
+        # retry round, so every worker count appends the same bytes
+        job = pending[index]
+        failed = isinstance(value, JobFailure)
         if store is not None:
-            store.put(encode_record(pending[index], result,
-                                    experiment=plan.spec.name))
+            encode = encode_failure_record if failed else encode_record
+            store.put(encode(job, value, experiment=plan.spec.name))
         if progress is not None:
-            progress("done", pending[index], result)
-
-    def _persist_outcome(index: int,
-                         value: "ConstrainedSimulationResult | JobFailure"
-                         ) -> None:
-        # resilient path: persist in completion order (the store index is
-        # last-write-wins, so ordering does not affect what a resume reads)
-        if isinstance(value, JobFailure):
-            if store is not None:
-                store.put(encode_failure_record(pending[index], value,
-                                                experiment=plan.spec.name))
-            if progress is not None:
-                progress("failed", pending[index], value)
-        else:
-            if store is not None:
-                store.put(encode_record(pending[index], value,
-                                        experiment=plan.spec.name))
-            if progress is not None:
-                progress("done", pending[index], value)
+            progress("failed" if failed else "done", job, value)
 
     warm = (dict(plan.warm_traces), dict(plan.warm_messages))
     try:
         # an in-process map (workers=1, or a pool that could not start)
         # fills the parent's caches too — hence the finally below
-        if policy is not None:
-            fresh = resilient_map(_run_exp_job, payloads, policy=policy,
-                                  workers=workers, initializer=_init_exp_worker,
-                                  initargs=warm, on_outcome=_persist_outcome)
-        else:
-            fresh = process_map(_run_exp_job, payloads, workers=workers,
-                                initializer=_init_exp_worker, initargs=warm,
-                                on_result=_persist)
+        fresh = process_map(_run_exp_job, payloads, workers=workers,
+                            initializer=_init_exp_worker, initargs=warm,
+                            on_result=_persist, policy=policy)
     finally:
         # don't pin traces/workloads in the parent past this call —
         # neither in the worker caches nor on the plan's warm seeds

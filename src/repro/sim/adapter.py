@@ -1,11 +1,11 @@
-"""Per-run forwarding-decision accounting for the DES and vector engines.
+"""A counting wrapper around one protocol's ``should_forward``.
 
-Both engines call the :class:`~repro.routing.RoutingProtocol` lifecycle
-hooks directly.  The one thing they add on top is a count of forwarding
-decisions and approvals, which the resource-constrained result reports: each
-run routes its scalar ``should_forward`` calls through a fresh
-:class:`AlgorithmAdapter`, and the vector engine charges its batched
-verdicts to the same counters.
+The DES and vector engines call the :class:`~repro.routing.RoutingProtocol`
+hooks directly and count forwarding decisions and approvals in two int
+fields of their own (``ResourceStats.forwarding_decisions`` and
+``forwarding_approvals``).  No engine uses :class:`AlgorithmAdapter`; it
+stays importable because the ``perfbench`` span instrumentation imports it
+by name.
 """
 
 from __future__ import annotations

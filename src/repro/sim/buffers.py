@@ -111,6 +111,10 @@ class NodeBuffer:
             return False, []
         evicted: List[BufferEntry] = []
         while self.used + entry.size > self.capacity:
+            if not self._entries:
+                # only the float residue of the evicted sizes is left
+                self.used = 0.0
+                break
             victim = min(self._entries.values(), key=self._eviction_key)
             del self._entries[victim.message_id]
             self.used -= victim.size

@@ -87,7 +87,6 @@ from ..forwarding.simulator import SimulationResult, check_endpoints, delivery_o
 from ..routing.base import RoutingProtocol
 from ..scenario.base import ConstraintSpec, register_spec
 from ..synth.seeding import derive_rng
-from .adapter import AlgorithmAdapter
 from .buffers import DROP_OLDEST, DROP_POLICIES, BufferEntry, NodeBuffer
 from .events import (
     CONTACT_END,
@@ -455,7 +454,7 @@ class DesSimulator:
     def run(self, messages: Sequence[Message]) -> ConstrainedSimulationResult:
         """Simulate the delivery of *messages* under the constraints."""
         check_endpoints(self._trace, messages)
-        self._counter = AlgorithmAdapter(self._protocol)
+        self._decisions = self._approvals = 0
         self._protocol.prepare(self._trace)
 
         interner = NodeInterner(self._trace.nodes)
@@ -532,8 +531,8 @@ class DesSimulator:
         stats = self._stats
         stats.peak_buffer_occupancy = max(
             (buffer.peak_used for buffer in state.buffers), default=0.0)
-        stats.forwarding_decisions = self._counter.decisions
-        stats.forwarding_approvals = self._counter.approvals
+        stats.forwarding_decisions = self._decisions
+        stats.forwarding_approvals = self._approvals
         self._state = None
         return ConstrainedSimulationResult(
             algorithm=self._protocol.name, trace_name=self._trace.name,
@@ -789,10 +788,12 @@ class DesSimulator:
             return False
         is_destination = peer == state.dest_index[message_id]
         if not is_destination:
-            if not self._counter.should_forward(
+            self._decisions += 1
+            if not self._protocol.should_forward(
                     state.node_of[carrier], state.node_of[peer],
                     message, time, self._history):
                 return False
+            self._approvals += 1
         if self._constraints.bandwidth is not None or self._channel is not None:
             self._schedule_transfer(message, carrier, peer, time, hops + 1)
             return False

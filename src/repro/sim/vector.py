@@ -113,7 +113,6 @@ from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
 from ..forwarding.simulator import check_endpoints, delivery_outcomes
 from ..routing.base import RoutingProtocol
-from .adapter import AlgorithmAdapter
 from .buffers import BufferEntry, NodeBuffer
 from .engine import (
     _KIND_NAMES,
@@ -212,7 +211,7 @@ class VectorSimulator:
             raise ValueError("message ids must be unique")
 
         protocol = self._protocol
-        counter = self._counter = AlgorithmAdapter(protocol)
+        self._decisions = self._approvals = 0
         protocol.prepare(self._trace)
         self._fastpath = protocol.vector_fastpath
         self._approvals_fn = (protocol.vector_approvals
@@ -311,8 +310,8 @@ class VectorSimulator:
         else:
             stats.peak_buffer_occupancy = max(
                 (buffer.peak_used for buffer in self._buffers), default=0.0)
-        stats.forwarding_decisions = counter.decisions
-        stats.forwarding_approvals = counter.approvals
+        stats.forwarding_decisions = self._decisions
+        stats.forwarding_approvals = self._approvals
         return ConstrainedSimulationResult(
             algorithm=protocol.name, trace_name=self._trace.name,
             outcomes=outcomes, copies_sent=stats.copies_sent,
@@ -617,16 +616,13 @@ class VectorSimulator:
             # triggers neither a cascade from the destination nor a
             # hand-off removal
             return self._receive(message, peer, time, hops, carrier)
-        counter = self._counter
+        self._decisions += 1
         if approved is None:
-            if not counter.should_forward(node_of[carrier], node_of[peer],
-                                          message, time, self._history):
-                return False
-        else:
-            counter.decisions += 1
-            if not approved:
-                return False
-            counter.approvals += 1
+            approved = self._protocol.should_forward(
+                node_of[carrier], node_of[peer], message, time, self._history)
+        if not approved:
+            return False
+        self._approvals += 1
         if not self._receive(message, peer, time, hops, carrier):
             return False
         self._protocol.on_forwarded(message, node_of[carrier], node_of[peer],
@@ -742,9 +738,8 @@ class VectorSimulator:
                     column[peer] = column[carrier] + 1
                     landed |= 1 << slot
                     on_forwarded(message, carrier_node, peer_node, time)
-            counter = self._counter
-            counter.decisions += len(batch)
-            counter.approvals += approvals
+            self._decisions += len(batch)
+            self._approvals += approvals
         if not landed:
             return 0
         self._ever_bits[peer] |= landed

@@ -1,15 +1,18 @@
-"""The fault-tolerant experiment executor and store recovery.
+"""The one job dispatcher under faults, and store recovery.
 
-Chaos-style coverage of the runtime fault layer: poison jobs (always
+Chaos-style coverage of :func:`repro.exp.pool.process_map`, strict and
+under a :class:`~repro.exp.executor.FaultPolicy`: poison jobs (always
 raise), hung jobs (cut by the per-job wall-clock timeout), and jobs that
-``os._exit`` their worker mid-grid.  A grid containing any of these must
-still complete every healthy job, persist failure RunRecords for the
-quarantined ones, report them through ``experiment_status``, and re-run
-exactly the failures under ``retry_failed``.  Separately,
-:func:`repro.exp.pool.process_map` must drain (and persist) completed
-results before surfacing a job error, and the result store must migrate
-legacy flat roots with truncated tails and corrupt lines losing only the
-damaged records — both pinned with hypothesis properties.
+``os._exit`` their worker mid-grid.  With a policy, a grid containing any
+of these must still complete every healthy job, persist failure RunRecords
+for the quarantined ones, report them through ``experiment_status``, and
+re-run exactly the failures under ``retry_failed``.  A strict run must
+drain (and persist) completed results before surfacing a job error, and
+must recover a job whose worker died once on a fresh pool.  A pool that
+cannot spawn falls back to a serial run with identical results in both
+modes.  Separately, the result store must migrate legacy flat roots with
+truncated tails and corrupt lines losing only the damaged records — pinned
+with hypothesis properties.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from repro.exp import (
     FaultPolicy,
     experiment_status,
     process_map,
-    resilient_map,
     run_experiment,
 )
+from repro.exp import pool as pool_module
 from repro.exp.records import decode_failure, is_failure_record
 from repro.forwarding import PoissonMessageWorkload
 from repro.scenario.traces import TwoClassTraceSpec
@@ -223,6 +226,26 @@ class TestWorkerCrash:
         assert resumed.num_executed == 0
         assert resumed.num_reused == 4
 
+    def test_strict_run_recovers_a_transient_crash_on_a_fresh_pool(
+            self, tmp_path):
+        """Without a policy, a job whose worker died is retried on a fresh
+        pool under the default crash budget: every job persists."""
+        marker = str(tmp_path / "crashed-once")
+        spec = ExperimentSpec(
+            name="strict-chaos",
+            scenarios=(_good("healthy-a", rate=0.02),
+                       _scenario("crash-once", CrashOnceWorkload(marker)),
+                       _good("healthy-b", rate=0.03)),
+            seeds=(7,))
+        store = str(tmp_path / "results")
+        result = run_experiment(spec, store=store, workers=2)
+        assert os.path.exists(marker), "the crashing attempt must have run"
+        assert (result.num_executed, result.num_failed) == (3, 0)
+        persisted = ShardedResultStore(store)
+        for job_hash in result.outcome.executed:
+            record = persisted.get(job_hash)
+            assert record is not None and not is_failure_record(record)
+
     def test_persistent_crasher_is_quarantined_not_fatal(self, tmp_path):
         spec = ExperimentSpec(
             name="poison-pill",
@@ -271,8 +294,58 @@ class TestProcessMapDrain:
         with pytest.raises(ValueError, match="workers must be positive"):
             process_map(_double_or_boom, [1, 2], workers=workers)
         with pytest.raises(ValueError, match="workers must be positive"):
-            resilient_map(_double_or_boom, [1, 2], policy=FaultPolicy(),
-                          workers=workers)
+            process_map(_double_or_boom, [1, 2], workers=workers,
+                        policy=FaultPolicy())
+
+
+# ----------------------------------------------------------------------
+# a pool that cannot spawn runs the batch serially
+# ----------------------------------------------------------------------
+class _NoSpawnExecutor:
+    """Stands in for ``ProcessPoolExecutor`` where processes cannot be
+    spawned: like the real one, it fails on first dispatch."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, *args, **kwargs):
+        raise OSError("process spawning is forbidden here")
+
+    def shutdown(self, *args, **kwargs):
+        pass
+
+
+class TestPoolFallback:
+    def test_strict_run_falls_back_to_serial(self, monkeypatch):
+        expected = process_map(_double_or_boom, [1, 2, 4, 5])
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
+                            _NoSpawnExecutor)
+        persisted = []
+        got = process_map(_double_or_boom, [1, 2, 4, 5], workers=2,
+                          on_result=lambda i, r: persisted.append((i, r)))
+        assert got == expected == [2, 4, 8, 10]
+        assert persisted == list(enumerate(expected))
+        # serial semantics for errors too: it stops at the failing job
+        persisted.clear()
+        with pytest.raises(ValueError, match="boom on 3"):
+            process_map(_double_or_boom, range(6), workers=2,
+                        on_result=lambda i, r: persisted.append((i, r)))
+        assert persisted == [(0, 0), (1, 2), (2, 4)]
+
+    def test_policy_run_falls_back_to_serial(self, monkeypatch):
+        expected = process_map(_double_or_boom, range(6), policy=_POLICY)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
+                            _NoSpawnExecutor)
+        persisted = []
+        got = process_map(_double_or_boom, range(6), workers=2,
+                          policy=_POLICY,
+                          on_result=lambda i, r: persisted.append(i))
+        assert got[:3] + got[4:] == expected[:3] + expected[4:] \
+            == [0, 2, 4, 8, 10]
+        assert got[3].describe() == expected[3].describe() \
+            == "ValueError: boom on 3 (attempts=2)"
+        # first round in job order, then the quarantine after its retry
+        assert persisted == [0, 1, 2, 4, 5, 3]
 
 
 # ----------------------------------------------------------------------

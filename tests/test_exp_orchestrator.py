@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.exp.executor import FaultPolicy
 from repro.exp.orchestrator import (
     execute_plan,
     experiment_status,
@@ -139,21 +140,27 @@ class TestResume:
 
 
 class TestDeterminism:
-    def test_serial_and_parallel_store_byte_identical_records(self, tmp_path):
+    @pytest.mark.parametrize("policy", [None, FaultPolicy()],
+                             ids=["strict", "policy"])
+    def test_serial_and_parallel_store_byte_identical_records(self, tmp_path,
+                                                              policy):
         """One spec covering all three legacy grid shapes — multi-scenario,
         multi-protocol, multi-seed, swept constraints, multiple runs — run
-        both ways must persist byte-identical JSONL stores."""
+        both ways must persist byte-identical JSONL stores, strict or under
+        a fault policy.  One-character shards put several records in each
+        shard file, so their append order shows."""
         spec = ExperimentSpec(
             name="determinism",
             scenarios=("paper-ttl-tight", "rwp-courtyard-lossy"),
             protocols=("Epidemic", "Binary Spray-and-Wait"),
             seeds=(7, 8), num_runs=2,
             sweep=SweepAxis("buffer_capacity", (4.0, None)))
-        serial_store = ShardedResultStore(tmp_path / "serial")
-        parallel_store = ShardedResultStore(tmp_path / "parallel")
-        serial = run_experiment(spec, store=serial_store)
+        serial_store = ShardedResultStore(tmp_path / "serial", shard_width=1)
+        parallel_store = ShardedResultStore(tmp_path / "parallel",
+                                            shard_width=1)
+        serial = run_experiment(spec, store=serial_store, policy=policy)
         parallel = run_experiment(spec, store=parallel_store,
-                                  workers=2)
+                                  workers=2, policy=policy)
         assert serial.num_executed == parallel.num_executed == 32
 
         def shard_files(store):

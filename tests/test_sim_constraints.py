@@ -125,6 +125,18 @@ def test_buffer_rejects_oversized_entry_without_evicting():
     assert 0 in buffer and buffer.used == pytest.approx(0.8)
 
 
+def test_full_size_entry_admits_after_evicting_to_float_residue():
+    """Evicting every entry can leave ``used`` a few ulps above zero; an
+    entry exactly the buffer's size must still be admitted, not make the
+    eviction loop look for a victim in an empty buffer."""
+    buffer = NodeBuffer(capacity=3.0, policy=DROP_OLDEST)
+    buffer.admit(BufferEntry(0, 0.3713173193836108, 0.0, 0))
+    buffer.admit(BufferEntry(2, 2.00001, 0.0, 1))
+    admitted, evicted = buffer.admit(BufferEntry(1, 3.0, 0.0, 2))
+    assert admitted and [entry.message_id for entry in evicted] == [0, 2]
+    assert buffer.used == 3.0
+
+
 # ----------------------------------------------------------------------
 # engine-level properties over random traces
 # ----------------------------------------------------------------------
