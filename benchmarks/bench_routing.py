@@ -8,10 +8,11 @@ benchmark-scale primary dataset, and records the delivery /
 overhead profile (success rate, copies per delivery) so the routing
 subsystem's perf *and* quality trajectory is tracked across PRs.
 
-A ``city_1k`` section times the vector engine's hook path at city scale:
-one seeded 1000-node ``rwp-grid`` city (1100 m square, 20 m radio, 300 s)
-replayed by Epidemic (the fast-path contrast), PRoPHET, Greedy Online and
-FRESH, timed in interleaved rounds (each round runs the four back to
+A ``city_1k`` section times the vector engine at city scale: one seeded
+1000-node ``rwp-grid`` city (1100 m square, 20 m radio, 300 s) replayed by
+Epidemic (the flood), PRoPHET (the hook path), and Greedy Online and FRESH
+(batched verdicts over the recorded contact history), timed in interleaved
+rounds (each round runs the four back to
 back).  Its ``prophet_vs_epidemic_ratio`` — the median of the per-round
 PRoPHET/Epidemic ratios — is enforced (lower is better) by
 ``repro obs bench-check``.  Medians are written to
@@ -46,7 +47,7 @@ from repro.sim import DesSimulator, VectorSimulator  # noqa: E402
 
 DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_routing.json"
 
-#: the city-scale hook-path probe (``rwp-grid`` geometry of the 1k city)
+#: the city-scale probe (``rwp-grid`` geometry of the 1k city)
 CITY_1K = GridRandomWaypointTraceSpec(
     num_nodes=1000, duration=300.0, step=30.0, width=1100.0, height=1100.0,
     radio_range=20.0, name="rwp-grid-city-1k")
@@ -54,8 +55,9 @@ CITY_1K_PROTOCOLS = ("Epidemic", "PRoPHET", "Greedy Online", "FRESH")
 
 
 def _city_1k(repeats: int) -> dict:
-    """Vector-engine times of the hook-path protocols on one 1000-node
-    city, with Epidemic's fast path as the yardstick."""
+    """Vector-engine times of PRoPHET (the hook path) and the two
+    history-reading paper algorithms on one 1000-node city, with
+    Epidemic's flood as the yardstick."""
     trace = CITY_1K.build(seed=1)
     messages = PoissonMessageWorkload(
         rate=0.2, generation_window=(0.0, CITY_1K.duration / 2)

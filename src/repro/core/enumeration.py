@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..contacts import ContactTrace, NodeId
@@ -64,7 +66,6 @@ DEFAULT_K = 2000
 ENUMERATORS = ("fast", "reference")
 
 
-@dataclass(frozen=True)
 class Delivery:
     """One valid path reaching the destination.
 
@@ -76,19 +77,53 @@ class Delivery:
         Arrival (vertex) time of the final hop, in seconds.
     step:
         The timestep index at which delivery occurred.
+    hop_count:
+        The path's hop count.
+
+    A delivery is immutable; equality, hashing and ``repr`` are those of
+    the value ``Delivery(path, time, step)``.  The fast engine emits it
+    with the path's cons chain and hop count only; the :class:`Path`
+    (with its validation) is built when ``path`` is first read, so a
+    caller that reads only times and hop counts never builds one.
     """
 
-    path: Path
-    time: float
-    step: int
+    __slots__ = ("_path", "_link", "_time", "_step", "_hop_count")
+
+    def __init__(self, path: Path, time: float, step: int) -> None:
+        self._path = path
+        self._link = None
+        self._time = time
+        self._step = step
+        self._hop_count = path.hop_count
+
+    time = property(attrgetter("_time"))
+    step = property(attrgetter("_step"))
+    hop_count = property(attrgetter("_hop_count"))
 
     @property
-    def hop_count(self) -> int:
-        return self.path.hop_count
+    def path(self) -> Path:
+        path = self._path
+        if path is None:
+            path = self._path = Path(hops=_materialize_hops(self._link))
+            self._link = None
+        return path
 
     @property
     def duration(self) -> float:
         return self.path.duration
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.path, self._time, self._step)
+                == (other.path, other._time, other._step))
+
+    def __hash__(self) -> int:
+        return hash((self.path, self._time, self._step))
+
+    def __repr__(self) -> str:
+        return (f"Delivery(path={self.path!r}, time={self._time!r}, "
+                f"step={self._step!r})")
 
 
 @dataclass
@@ -507,11 +542,13 @@ class PathEnumerator:
         graph = self._graph
         tables = graph.step_tables()
         interner = tables.interner
+        index_of = interner.index_of
+        node_of = interner.nodes
         k = self._k
         delta = graph.delta
 
-        src_idx = interner.index_of(source)
-        dst_idx = interner.index_of(destination)
+        src_idx = index_of(source)
+        dst_idx = index_of(destination)
         result = EnumerationResult(source=source, destination=destination,
                                    creation_time=creation_time)
         start_step = graph.step_of_time(creation_time)
@@ -545,19 +582,110 @@ class PathEnumerator:
         step = start_step
         while step < last_step:
             arrival_time = (step + 1) * delta
-            if step == start_step:
-                # The root path is new at its creation step, so it may leave
-                # over every active edge, not only the fresh ones.
-                peers_t = neighbor_lists[step]
-            else:
-                peers_t = fresh_lists[step]
-            delivered_this_step = self._process_step_fast(
-                store, first_slot, caps, emitted, peers_t, step, arrival_time,
-                neighbor_masks[step].get(dst_idx, 0), dst_idx, destination,
-                raw_adjacency[step], tables,
-            )
-            total_deliveries += delivered_this_step
-            if delivered_this_step >= k or (
+            neighbor_list = neighbor_lists[step]
+            # Each node's peers its stored paths may be handed to at this
+            # step: every active peer at the creation step (the root path
+            # is new then), the fresh peers afterwards.  Nodes absent from
+            # it hand off nothing, and when the destination is absent no
+            # path holder or path-visited node can be in contact with it,
+            # so the delivery and purge phases are skipped.
+            peers_t = (neighbor_list if step == start_step
+                       else fresh_lists[step])
+            peers_of = neighbor_list.get
+            dest_mask = neighbor_masks[step].get(dst_idx, 0)
+            delivered = 0
+
+            if dst_idx in peers_t:
+                # 1. Deliveries.  The reference engine iterates a set *copy*
+                #    of the destination's adjacency; perform the identical
+                #    operation on the identical set object so tie order
+                #    matches exactly.
+                for node in set(raw_adjacency[step][destination]):
+                    idx = index_of(node)
+                    held = store.get(idx)
+                    if not held:
+                        continue
+                    for link, _, _, hop_count in held:
+                        emitted.append((arrival_time, hop_count + 1, step,
+                                        (link, destination, arrival_time)))
+                    delivered += len(held)
+                    del store[idx]
+                    caps.pop(idx, None)
+
+                # 1b. First-preference purge: one AND per stored path.
+                emptied: List[int] = []
+                for idx, held in store.items():
+                    kept = [entry for entry in held
+                            if not (entry[1] & dest_mask)]
+                    if len(kept) != len(held):
+                        caps.pop(idx, None)
+                        if kept:
+                            store[idx] = kept
+                        else:
+                            emptied.append(idx)
+                for idx in emptied:
+                    del store[idx]
+
+            # 2. Hand-offs from the post-delivery snapshot, then 3. the
+            #    within-step cascade over zero-weight edges: paths placed
+            #    during this step keep moving over any active edge.  Both
+            #    phases feed one placement loop as (paths, peers) batches,
+            #    each peer taking the paths in order: the snapshot's holders
+            #    first, then the frontier drained LIFO down to its None
+            #    sentinel.
+            holders = [(list(store[idx]), peers_t[idx])
+                       for idx in sorted((idx for idx in store
+                                          if idx in peers_t),
+                                         key=first_slot.__getitem__)]
+            frontier: List[Optional[tuple]] = [None]
+            push = frontier.append
+            for entries, peers in chain(holders, iter(frontier.pop, None)):
+                for peer_idx in peers:
+                    if peer_idx == dst_idx:
+                        continue
+                    bit = 1 << peer_idx
+                    peer = node_of[peer_idx]
+                    if dest_mask & bit:
+                        # immediate delivery (first preference)
+                        for entry in entries:
+                            if not entry[1] & bit:
+                                emitted.append((
+                                    arrival_time, entry[3] + 2, step,
+                                    ((entry[0], peer, arrival_time),
+                                     destination, arrival_time)))
+                                delivered += 1
+                        continue
+                    # Placements below touch only this peer's store, so its
+                    # list and cap index stay valid for the whole batch.
+                    held = store.get(peer_idx)
+                    cap = None if held is None else caps.get(peer_idx)
+                    for entry in entries:
+                        mask = entry[1]
+                        if mask & bit:
+                            continue
+                        hop_count = entry[3] + 1
+                        if cap is None:
+                            if held is None:
+                                held = store[peer_idx] = []
+                                if peer_idx not in first_slot:
+                                    first_slot[peer_idx] = len(first_slot)
+                            new_entry = ((entry[0], peer, arrival_time),
+                                         mask | bit, step, hop_count)
+                            held.append(new_entry)
+                            push(((new_entry,), peers_of(peer_idx, ())))
+                            if len(held) == k:
+                                cap = caps[peer_idx] = _CapIndex(held)
+                        elif cap.max_hops > hop_count:
+                            # At capacity: keep the k shortest by hop count,
+                            # replacing the first position holding the
+                            # maximum.
+                            new_entry = ((entry[0], peer, arrival_time),
+                                         mask | bit, step, hop_count)
+                            held[cap.replace(hop_count)] = new_entry
+                            push(((new_entry,), peers_of(peer_idx, ())))
+
+            total_deliveries += delivered
+            if delivered >= k or (
                     max_total_deliveries is not None
                     and total_deliveries >= max_total_deliveries):
                 result.stopped_early = True
@@ -574,129 +702,18 @@ class PathEnumerator:
         # Skipped steps count as processed, as in the reference engine.
         result.steps_processed = max(0, last_step - start_step)
         emitted.sort(key=lambda record: (record[0], record[1]))
-        result.deliveries = [
-            Delivery(path=Path(hops=_materialize_hops(link)), time=time, step=step)
-            for time, _, step, link in emitted
-        ]
+        # Paths are built from their cons chains only when read.
+        new = Delivery.__new__
+        deliveries = result.deliveries
+        for time, hop_count, step, link in emitted:
+            delivery = new(Delivery)
+            delivery._path = None
+            delivery._link = link
+            delivery._time = time
+            delivery._step = step
+            delivery._hop_count = hop_count
+            deliveries.append(delivery)
         return result
-
-    def _process_step_fast(
-        self,
-        store: Dict[int, List[tuple]],
-        first_slot: Dict[int, int],
-        caps: Dict[int, "_CapIndex"],
-        emitted: List[Tuple[float, int, int, tuple]],
-        peers_t: Dict[int, List[int]],
-        step: int,
-        arrival_time: float,
-        dest_mask: int,
-        dst_idx: int,
-        destination: NodeId,
-        raw_adjacency: Dict[NodeId, Set[NodeId]],
-        tables,
-    ) -> int:
-        """Run deliveries and hand-offs for one timestep.
-
-        *peers_t* maps each node to the peers its stored paths may be handed
-        to at this step: the fresh peers, or every peer at the creation
-        step.  Nodes absent from it hand off nothing, and when the
-        destination is absent no path holder or path-visited node can be in
-        contact with it, so the delivery and purge phases are skipped.
-        Returns the number of deliveries made during this step.
-        """
-        delivered = 0
-        node_of = tables.interner.nodes
-        neighbor_list = tables.neighbor_lists[step]
-        k = self._k
-
-        if dst_idx in peers_t:
-            # 1. Deliveries.  The reference engine iterates a set *copy* of
-            #    the destination's adjacency; perform the identical operation
-            #    on the identical set object so tie order matches exactly.
-            index_of = tables.interner.index_of
-            for node in set(raw_adjacency[destination]):
-                idx = index_of(node)
-                held = store.get(idx)
-                if not held:
-                    continue
-                for link, _, _, hop_count in held:
-                    emitted.append((arrival_time, hop_count + 1, step,
-                                    (link, destination, arrival_time)))
-                delivered += len(held)
-                del store[idx]
-                caps.pop(idx, None)
-
-            # 1b. First-preference purge: one AND per stored path.
-            emptied: List[int] = []
-            for idx, held in store.items():
-                kept = [entry for entry in held if not (entry[1] & dest_mask)]
-                if len(kept) != len(held):
-                    caps.pop(idx, None)
-                    if kept:
-                        store[idx] = kept
-                    else:
-                        emptied.append(idx)
-            for idx in emptied:
-                del store[idx]
-
-        # 2. Hand-offs from the post-delivery snapshot, then 3. the
-        #    within-step cascade over zero-weight edges: paths placed during
-        #    this step keep moving over any active edge.  Both phases feed
-        #    one placement loop as (paths, peers) batches, each peer taking
-        #    the paths in order; the cascade drains the frontier LIFO.
-        frontier: List[Tuple[int, tuple]] = []
-        holders = [(list(store[idx]), peers_t[idx])
-                   for idx in sorted((idx for idx in store if idx in peers_t),
-                                     key=first_slot.__getitem__)]
-
-        def batches():
-            yield from holders
-            while frontier:
-                idx, entry = frontier.pop()
-                yield (entry,), neighbor_list.get(idx, ())
-
-        for entries, peers in batches():
-            for peer_idx in peers:
-                if peer_idx == dst_idx:
-                    continue
-                bit = 1 << peer_idx
-                peer = node_of[peer_idx]
-                if dest_mask & bit:  # immediate delivery (first preference)
-                    for entry in entries:
-                        if not entry[1] & bit:
-                            emitted.append((arrival_time, entry[3] + 2, step,
-                                            ((entry[0], peer, arrival_time),
-                                             destination, arrival_time)))
-                            delivered += 1
-                    continue
-                # Placements below touch only this peer's store, so its
-                # list and cap index stay valid for the whole batch.
-                held = store.get(peer_idx)
-                cap = None if held is None else caps.get(peer_idx)
-                for entry in entries:
-                    mask = entry[1]
-                    if mask & bit:
-                        continue
-                    hop_count = entry[3] + 1
-                    if cap is None:
-                        if held is None:
-                            held = store[peer_idx] = []
-                            if peer_idx not in first_slot:
-                                first_slot[peer_idx] = len(first_slot)
-                        new_entry = ((entry[0], peer, arrival_time),
-                                     mask | bit, step, hop_count)
-                        held.append(new_entry)
-                        frontier.append((peer_idx, new_entry))
-                        if len(held) == k:
-                            cap = caps[peer_idx] = _CapIndex(held)
-                    elif cap.max_hops > hop_count:
-                        # At capacity: keep the k shortest by hop count,
-                        # replacing the first position holding the maximum.
-                        new_entry = ((entry[0], peer, arrival_time),
-                                     mask | bit, step, hop_count)
-                        held[cap.replace(hop_count)] = new_entry
-                        frontier.append((peer_idx, new_entry))
-        return delivered
 
 
 class _CapIndex:

@@ -100,6 +100,11 @@ def analyze_message(
     keep_paths:
         Store the full paths in the record (needed for hop-gradient analysis,
         Figures 14–15; costs memory for large ``n_explosion``).
+
+    The record's times and hop counts are read from the deliveries
+    without their paths, so with ``keep_paths=False`` the fast engine
+    builds no :class:`~repro.core.path.Path` (a delivery builds its path
+    when ``path`` is first read).
     """
     if n_explosion < 1:
         raise ValueError("n_explosion must be >= 1")

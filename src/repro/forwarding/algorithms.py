@@ -10,7 +10,9 @@ delivers on contact with the destination (the paper's *minimal progress*
 assumption) and the simulator enforces it.
 
 The paper's six are per-contact tests that keep no per-node state and use
-none of the lifecycle hooks.  They span the paper's design axes:
+none of the lifecycle hooks, so all six judge a contact's candidates as one
+``vector_approvals`` batch in the vector engine.  They span the paper's
+design axes:
 
 ====================  ===========  =========  =====================
 algorithm             destination  hop scope  knowledge
@@ -74,22 +76,32 @@ class RoutingProtocol(ABC):
     #: What the protocol knows ("none", "history", "oracle", "learned").
     knowledge: str = "none"
 
-    #: Whether the vector engine may skip history recording and the
-    #: per-contact hooks for this protocol: it neither reads the online
-    #: contact history nor implements ``on_contact_start``/``end``.  On a
-    #: large trace most contact events move no message, so this is where
-    #: most of the vector engine's per-event win comes from.
+    #: Whether the vector engine may judge a contact's candidates as one
+    #: ``vector_approvals`` batch and skip the per-contact lifecycle hooks
+    #: (``on_contact_start``/``end``), which must then be no-ops for the
+    #: protocol.  On a large trace most contact events move no message, so
+    #: this is where most of the vector engine's per-event win comes from.
     vector_fastpath: bool = False
 
+    #: Whether the protocol's verdicts read the online contact history.  On
+    #: the batched path the vector engine records the history only for such
+    #: a protocol, and hands it to ``vector_approvals``; every other batched
+    #: protocol gets ``None`` there.  Every other engine path records it.
+    reads_history: bool = False
+
     vector_approvals: Optional[
-        Callable[[NodeId, NodeId, Sequence[Message], float], List[bool]]
+        Callable[[NodeId, NodeId, Sequence[Message], float,
+                  Optional[OnlineContactHistory]], List[bool]]
     ] = None
     """Optional batch twin of ``should_forward`` for the vector engine.
 
-    ``vector_approvals(carrier, peer, messages, now)`` returns one verdict
-    per offered message, evaluated against the protocol's *current*
-    state, and must equal ``[should_forward(carrier, peer, m, now,
-    history) for m in messages]``.  The engine uses it only when
+    ``vector_approvals(carrier, peer, messages, now, history)`` returns one
+    verdict per offered message, evaluated against the protocol's
+    *current* state, and must equal ``[should_forward(carrier, peer, m,
+    now, history) for m in messages]``.  *history* is the run's
+    :class:`OnlineContactHistory` when the protocol sets ``reads_history``
+    and ``None`` otherwise, so a protocol that reads it without declaring
+    so fails at its first batch.  The engine uses the method only when
     ``vector_fastpath`` is set, and only for candidates that already
     survived its bitmask screen (the carrier holds a live copy, the peer
     never held one).  It charges the same forwarding decisions and
@@ -102,7 +114,8 @@ class RoutingProtocol(ABC):
     budgets are spent and tokens move) only touches the state of the
     message that actually moved, which appears exactly once per batch.  A
     protocol whose verdicts couple across messages must leave this
-    ``None``.
+    ``None``.  The history changes only at contact starts, never inside a
+    zero-time relay, so verdicts that read it meet the same contract.
 
     Batches are formed inside the zero-time relay too: the engine's
     message-parallel flood judges every message a relay node can pass to
@@ -168,6 +181,7 @@ class UtilityForwarding(RoutingProtocol):
     stateful = False
     replication = "utility"
     knowledge = "history"
+    vector_fastpath = True
 
     @abstractmethod
     def utility(
@@ -191,6 +205,12 @@ class UtilityForwarding(RoutingProtocol):
         return (self.utility(peer, destination, now, history)
                 > self.utility(carrier, destination, now, history))
 
+    def vector_approvals(self, carrier, peer, messages, now, history):
+        utility = self.utility
+        return [utility(peer, m.destination, now, history)
+                > utility(carrier, m.destination, now, history)
+                for m in messages]
+
 
 class EpidemicForwarding(RoutingProtocol):
     """Flooding [Vahdat & Becker]: hand a copy to every encountered node.
@@ -209,7 +229,7 @@ class EpidemicForwarding(RoutingProtocol):
     def should_forward(self, carrier, peer, message, now, history) -> bool:
         return True
 
-    def vector_approvals(self, carrier, peer, messages, now):
+    def vector_approvals(self, carrier, peer, messages, now, history):
         return [True] * len(messages)
 
 
@@ -221,6 +241,7 @@ class FreshForwarding(UtilityForwarding):
     """
 
     name = "FRESH"
+    reads_history = True
 
     def utility(self, node, destination, now, history) -> float:
         last = history.last_contact_time(node, destination)
@@ -235,6 +256,7 @@ class GreedyForwarding(UtilityForwarding):
     """
 
     name = "Greedy"
+    reads_history = True
 
     def utility(self, node, destination, now, history) -> float:
         return float(history.contacts_between(node, destination))
@@ -248,9 +270,15 @@ class GreedyOnlineForwarding(UtilityForwarding):
     """
 
     name = "Greedy Online"
+    reads_history = True
 
     def utility(self, node, destination, now, history) -> float:
         return float(history.total_contacts(node))
+
+    def vector_approvals(self, carrier, peer, messages, now, history):
+        # destination unaware: one comparison judges the whole batch
+        return [self.utility(peer, None, now, history)
+                > self.utility(carrier, None, now, history)] * len(messages)
 
 
 class GreedyTotalForwarding(UtilityForwarding):
@@ -277,6 +305,9 @@ class GreedyTotalForwarding(UtilityForwarding):
             raise RuntimeError("GreedyTotalForwarding.prepare() was not called")
         return float(self._totals.get(node, 0))
 
+    # destination unaware too: one comparison judges the whole batch
+    vector_approvals = GreedyOnlineForwarding.vector_approvals
+
 
 class DynamicProgrammingForwarding(RoutingProtocol):
     """Dynamic Programming (Minimum Expected Delay, destination aware, oracle).
@@ -293,6 +324,7 @@ class DynamicProgrammingForwarding(RoutingProtocol):
     stateful = False
     replication = "utility"
     knowledge = "oracle"
+    vector_fastpath = True
 
     def __init__(self) -> None:
         self._table: Optional[MeedTable] = None
@@ -310,6 +342,11 @@ class DynamicProgrammingForwarding(RoutingProtocol):
         table = self.table
         destination = message.destination
         return table.distance(peer, destination) < table.distance(carrier, destination)
+
+    def vector_approvals(self, carrier, peer, messages, now, history):
+        distance = self.table.distance
+        return [distance(peer, m.destination) < distance(carrier, m.destination)
+                for m in messages]
 
 
 def default_algorithms() -> List[RoutingProtocol]:

@@ -40,8 +40,13 @@ The class itself lives in :mod:`repro.forwarding.algorithms`, next to the
 paper's six, because the routing registry imports those six: defining it
 here would make ``repro.routing`` and ``repro.forwarding`` import each
 other.  ``vector_fastpath`` and ``vector_approvals`` opt a protocol into
-the vector engine's batched fast path; the ``vector_approvals`` docstring
-states the batch contract.
+the vector engine's batched fast path, which calls no per-contact hook;
+the ``vector_approvals`` docstring states the batch contract.  A batched
+protocol whose verdicts read the contact history also sets
+``reads_history``: the engine then records the history on that path and
+passes it as ``vector_approvals``' fifth argument (``None`` otherwise).
+All six paper algorithms are batched; of the zoo, PRoPHET alone needs
+the hooks.
 """
 
 from ..forwarding.algorithms import RoutingProtocol

@@ -65,7 +65,7 @@ class DirectDeliveryProtocol(RoutingProtocol):
     def should_forward(self, carrier, peer, message, now, history) -> bool:
         return False  # minimal progress already covers the destination
 
-    def vector_approvals(self, carrier, peer, messages, now):
+    def vector_approvals(self, carrier, peer, messages, now, history):
         return [False] * len(messages)
 
 
@@ -99,7 +99,7 @@ class FirstContactProtocol(RoutingProtocol):
         if self._owner.get(message.id) == carrier:
             self._owner[message.id] = peer
 
-    def vector_approvals(self, carrier, peer, messages, now):
+    def vector_approvals(self, carrier, peer, messages, now, history):
         owner = self._owner
         return [owner.get(m.id) == carrier for m in messages]
 
@@ -141,7 +141,7 @@ class _SprayAndWaitBase(RoutingProtocol):
     def should_forward(self, carrier, peer, message, now, history) -> bool:
         return self.copies_held(message.id, carrier) > 1
 
-    def vector_approvals(self, carrier, peer, messages, now):
+    def vector_approvals(self, carrier, peer, messages, now, history):
         copies = self._copies
         return [copies.get(m.id, {}).get(carrier, 0) > 1 for m in messages]
 
@@ -184,7 +184,7 @@ class SourceSprayAndWaitProtocol(_SprayAndWaitBase):
         return (carrier == message.source
                 and self.copies_held(message.id, carrier) > 1)
 
-    def vector_approvals(self, carrier, peer, messages, now):
+    def vector_approvals(self, carrier, peer, messages, now, history):
         copies = self._copies
         return [carrier == m.source
                 and copies.get(m.id, {}).get(carrier, 0) > 1
@@ -395,7 +395,7 @@ class HypergossipProtocol(RoutingProtocol):
             return True
         return self._coin(message.id, carrier, peer) < self.p
 
-    def vector_approvals(self, carrier, peer, messages, now):
+    def vector_approvals(self, carrier, peer, messages, now, history):
         if self.p >= 1.0:
             return [True] * len(messages)
         coin = self._coin

@@ -17,8 +17,9 @@ magnitude faster:
   so ties resolve identically, also across chunk edges.
 * **one replay loop** — every native run goes through :meth:`_replay`,
   with the contact bookkeeping inlined.  Locals fixed before the loop
-  select the rest: ``hooks`` (a protocol off the fast path) records the
-  contact history and calls ``on_contact_start``/``on_contact_end``, a
+  select the rest: ``recording`` records the contact history (a protocol
+  off the fast path, or one that reads the history), ``hooks`` (a protocol
+  off the fast path) calls ``on_contact_start``/``on_contact_end``, a
   tracer gets ``contact_start``/``contact_end``, and telemetry counts and
   samples each event.
 * **per-node candidate bitmasks** — messages are interned to dense
@@ -34,10 +35,11 @@ magnitude faster:
 * **batched protocol fast path** — protocols that set
   ``vector_fastpath`` and implement ``vector_approvals`` (see
   :class:`repro.routing.RoutingProtocol`) judge the surviving candidates
-  of a contact as one batch, and the flag lets the engine skip
-  contact-history recording and the per-contact lifecycle hooks (both
-  no-ops for them).  Every other protocol takes the per-message
-  ``should_forward`` path and still runs unchanged.
+  of a contact as one batch, and the flag lets the engine skip the
+  per-contact lifecycle hooks (no-ops for them).  The contact history is
+  recorded on this path only for a protocol that sets ``reads_history``,
+  and handed to its ``vector_approvals``.  Every other protocol takes the
+  per-message ``should_forward`` path and still runs unchanged.
 * **message-parallel flood** — on the flood gate (below) the zero-time
   relay walks each node once per contact instead of once per message: one
   DFS over ``(node, live-message bitmask)`` stack entries screens
@@ -216,6 +218,9 @@ class VectorSimulator:
         self._fastpath = protocol.vector_fastpath
         self._approvals_fn = (protocol.vector_approvals
                               if self._fastpath else None)
+        # the contact history is recorded off the fast path, and on it
+        # only for a protocol whose verdicts read it
+        self._recording = not self._fastpath or protocol.reads_history
 
         interner = NodeInterner(self._trace.nodes)
         index_of = interner.index_of
@@ -223,6 +228,8 @@ class VectorSimulator:
         self._node_of = interner.nodes
         self._index_of = index_of
         self._history = OnlineContactHistory()
+        # what a batch verdict sees: None unless the protocol declares it
+        self._batch_history = self._history if self._recording else None
         self._stats = stats = ResourceStats()
 
         # message interning, fastpath-style: message id -> dense slot, whose
@@ -408,8 +415,9 @@ class VectorSimulator:
         interpreter ops each.  Hook and tracer calls sit where the DES
         engine's handlers make them: the history record, the
         ``on_contact_start`` hook and ``contact_start`` come before the
-        pair count, ``contact_end`` and ``on_contact_end`` after it.  On
-        the flood gate a contact's offer floods.
+        pair count, ``contact_end`` and ``on_contact_end`` after it.  A
+        fast-path protocol that reads the history gets the record and no
+        hook.  On the flood gate a contact's offer floods.
         """
         num_nodes = self._num_nodes
         node_of = self._node_of
@@ -422,9 +430,12 @@ class VectorSimulator:
         offer = self._offer_flood if self._flooding else self._offer
         on_create = self._on_create
         on_expire = self._on_expire
+        recording = self._recording
         hooks = not self._fastpath
+        record = self._history.record
         history = self._history
-        protocol = self._protocol
+        start_hook = self._protocol.on_contact_start
+        end_hook = self._protocol.on_contact_end
         tracer = self._run_tracer
         remaining = len(timeline[0])
         for events in _chunks(timeline):
@@ -433,10 +444,10 @@ class VectorSimulator:
                     if tracer is not None:
                         tracer.emit("contact_start", time,
                                     a=node_of[a], b=node_of[b])
-                    if hooks:
-                        history.record(node_of[a], node_of[b], time)
-                        protocol.on_contact_start(node_of[a], node_of[b],
-                                                  time, history)
+                    if recording:
+                        record(node_of[a], node_of[b], time)
+                        if hooks:
+                            start_hook(node_of[a], node_of[b], time, history)
                     # Contact stores its endpoints canonically ordered, so
                     # the same unordered pair always packs to the same key
                     pair = a * num_nodes + b
@@ -466,8 +477,7 @@ class VectorSimulator:
                         tracer.emit("contact_end", time,
                                     a=node_of[a], b=node_of[b])
                     if hooks:
-                        protocol.on_contact_end(node_of[a], node_of[b], time,
-                                                history)
+                        end_hook(node_of[a], node_of[b], time, history)
                 elif kind == CREATE:
                     on_create(time, message_list[a])
                 else:  # EXPIRE
@@ -576,7 +586,8 @@ class VectorSimulator:
                 attempt(message, carrier, peer, time)
             return
         node_of = self._node_of
-        verdicts = approvals_fn(node_of[carrier], node_of[peer], batch, time)
+        verdicts = approvals_fn(node_of[carrier], node_of[peer], batch, time,
+                                self._batch_history)
         for message, approved in zip(batch, verdicts):
             attempt(message, carrier, peer, time, approved=approved)
 
@@ -728,7 +739,8 @@ class VectorSimulator:
                 batch.append(message_list[slot])
             node_of = self._node_of
             carrier_node, peer_node = node_of[carrier], node_of[peer]
-            verdicts = self._approvals_fn(carrier_node, peer_node, batch, time)
+            verdicts = self._approvals_fn(carrier_node, peer_node, batch,
+                                          time, self._batch_history)
             on_forwarded = self._protocol.on_forwarded
             approvals = 0
             for slot, message, approved in zip(slots, batch, verdicts):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.contacts import Contact, ContactTrace
 from repro.core import (
+    Delivery,
+    Path,
     PathEnumerator,
     SpaceTimeGraph,
     enumerate_paths,
@@ -206,6 +210,49 @@ class TestResultHelpers:
     def test_paths_helper(self, diamond_trace):
         result = enumerate_paths(diamond_trace, 0, 3, 0.0, k=10)
         assert len(result.paths()) == result.num_deliveries
+
+
+class TestDeliveryValue:
+    """A fast-engine delivery builds its path on first read, and otherwise
+    behaves as the frozen ``Delivery(path, time, step)`` value."""
+
+    def _both(self, trace):
+        graph = SpaceTimeGraph(trace, delta=10.0)
+        return [PathEnumerator(graph, k=10, engine=engine)
+                .enumerate(0, 3, 0.0).deliveries
+                for engine in ("fast", "reference")]
+
+    def test_equal_hash_and_repr_across_engines(self, diamond_trace):
+        fast, reference = self._both(diamond_trace)
+        assert fast == reference
+        assert [hash(d) for d in fast] == [hash(d) for d in reference]
+        assert [repr(d) for d in fast] == [repr(d) for d in reference]
+
+    def test_reads_before_the_path_is_built(self, diamond_trace):
+        fast, _ = self._both(diamond_trace)
+        assert [(d.time, d.step, d.hop_count) for d in fast] == [
+            (40.0, 3, 2), (70.0, 6, 2)]
+        assert [d.path.nodes for d in fast] == [(0, 1, 3), (0, 2, 3)]
+        assert fast[0].path is fast[0].path
+        assert fast[0].duration == pytest.approx(40.0)
+
+    def test_constructed_value(self):
+        path = Path(hops=((0, 0.0), (1, 10.0)))
+        delivery = Delivery(path=path, time=10.0, step=0)
+        assert (delivery.path, delivery.time, delivery.step,
+                delivery.hop_count) == (path, 10.0, 0, 1)
+        assert delivery == Delivery(path, 10.0, 0)
+        assert delivery != Delivery(path, 10.0, 1)
+        assert repr(delivery) == f"Delivery(path={path!r}, time=10.0, step=0)"
+        with pytest.raises(AttributeError):
+            delivery.time = 5.0
+
+    def test_pickles_before_and_after_the_path_is_built(self, diamond_trace):
+        fast, _ = self._both(diamond_trace)
+        unbuilt = pickle.loads(pickle.dumps(fast))
+        assert [d.hop_count for d in unbuilt] == [2, 2]
+        assert unbuilt == fast
+        assert pickle.loads(pickle.dumps(fast)) == fast
 
 
 class TestEpidemicClosure:

@@ -21,6 +21,7 @@ from repro.contacts import Contact, ContactTrace
 from repro.core import (
     PathEnumerator,
     SpaceTimeGraph,
+    analyze_message,
     enumerate_batch,
     random_messages,
 )
@@ -61,6 +62,28 @@ def test_paper_dataset_stream_equivalence(dataset_key):
                                          max_total_deliveries=_K)
         _assert_streams_equal(fast_result, ref_result,
                               context=f"{dataset_key} {message}")
+
+
+@pytest.mark.parametrize("dataset_key", PAPER_DATASET_KEYS)
+def test_paper_dataset_hop_counts(dataset_key):
+    """Fast deliveries carry their hop counts without building a path:
+    each equals its path's, and the explosion records' hop counts (the
+    input of Figures 14–15) equal the reference engine's."""
+    trace = load_dataset(dataset_key, scale=_SCALE, contact_scale=_SCALE)
+    graph = SpaceTimeGraph(trace, delta=10.0)
+    fast = PathEnumerator(graph, k=_K, engine="fast")
+    reference = PathEnumerator(graph, k=_K, engine="reference")
+    for source, destination, creation_time in random_messages(
+            trace, _NUM_MESSAGES, seed=7):
+        context = f"{dataset_key} {source}->{destination}@{creation_time}"
+        records = [analyze_message(enumerator, source, destination,
+                                   creation_time, n_explosion=_K)
+                   for enumerator in (fast, reference)]
+        assert records[0].hop_counts == records[1].hop_counts, context
+        result = fast.enumerate(source, destination, creation_time,
+                                max_total_deliveries=_K)
+        assert [d.hop_count for d in result.deliveries] == [
+            d.path.hop_count for d in result.deliveries], context
 
 
 def test_equivalence_without_delivery_cap():

@@ -15,6 +15,7 @@ from repro.core import (
     Path,
     PathEnumerator,
     SpaceTimeGraph,
+    analyze_message,
     classify_nodes,
     is_valid_path,
 )
@@ -127,6 +128,24 @@ class TestEnumerationProperties:
             assert path.last_node == destination
             assert path.start_time == pytest.approx(t1)
             assert is_valid_path(path, graph, destination)
+
+    @given(case=enumeration_case_strategy(), k=st.sampled_from([1, 3, 30]))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_fast_deliveries_keep_their_hop_counts(self, case, k):
+        """The fast engine's stored hop counts equal its paths' and the
+        reference engine's (Figures 14–15 read them, no digest does)."""
+        trace, source, destination, t1 = case
+        graph = SpaceTimeGraph(trace, delta=10.0)
+        fast = PathEnumerator(graph, k=k)
+        reference = PathEnumerator(graph, k=k, engine="reference")
+        records = [analyze_message(enumerator, source, destination, t1,
+                                   n_explosion=k)
+                   for enumerator in (fast, reference)]
+        assert records[0].hop_counts == records[1].hop_counts
+        result = fast.enumerate(source, destination, t1)
+        assert [d.hop_count for d in result.deliveries] == [
+            d.path.hop_count for d in result.deliveries]
 
     @given(trace=trace_strategy(min_contacts=3), data=st.data())
     @settings(max_examples=25, deadline=None,

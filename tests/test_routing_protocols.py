@@ -96,14 +96,16 @@ class TestCatalogue:
         expected = [
             ("Epidemic", "paper", "no", "flooding", "none", "no",
              "fast-path"),
-            ("FRESH", "paper", "no", "utility", "history", "no", "hooks"),
-            ("Greedy", "paper", "no", "utility", "history", "no", "hooks"),
+            ("FRESH", "paper", "no", "utility", "history", "no",
+             "fast-path"),
+            ("Greedy", "paper", "no", "utility", "history", "no",
+             "fast-path"),
             ("Greedy Total", "paper", "no", "utility", "oracle", "yes",
-             "hooks"),
+             "fast-path"),
             ("Greedy Online", "paper", "no", "utility", "history", "no",
-             "hooks"),
+             "fast-path"),
             ("Dynamic Programming", "paper", "no", "utility", "oracle", "yes",
-             "hooks"),
+             "fast-path"),
             ("Direct Delivery", "zoo", "no", "single-copy", "none", "no",
              "fast-path"),
             ("First Contact", "zoo", "yes", "single-copy", "none", "no",
@@ -201,6 +203,8 @@ _BATCH_OPS = st.lists(
         st.tuples(st.just("create"), st.integers(0, 1)),
         st.tuples(st.just("forward"), st.integers(0, 1), _BATCH_NODES,
                   _BATCH_NODES),
+        st.tuples(st.just("contact"), _BATCH_NODES,
+                  _BATCH_NODES).filter(lambda op: op[1] != op[2]),
     ),
     max_size=40,
 )
@@ -211,12 +215,15 @@ class TestVectorApprovalsContract:
     @settings(max_examples=60, deadline=None)
     @given(ops=_BATCH_OPS)
     def test_batch_equals_scalar(self, label, ops):
-        """After any sequence of creations and forwards, the batch verdicts
-        for every (carrier, peer) pair equal the per-message verdicts."""
+        """After any sequence of creations, forwards and contacts, the
+        batch verdicts for every (carrier, peer) pair equal the
+        per-message verdicts.  The batch sees the history only if the
+        protocol declares that it reads it, as in the vector engine."""
         protocol = _BATCH_PROTOCOLS[label]()
         assert protocol.vector_fastpath
         protocol.prepare(_line_trace())
         history = OnlineContactHistory()
+        batch_history = history if protocol.reads_history else None
         messages = [Message(id=i, source=i, destination=3 - i,
                             creation_time=0.0) for i in range(2)]
         pairs = [(c, p) for c in range(4) for p in range(4) if c != p]
@@ -230,13 +237,15 @@ class TestVectorApprovalsContract:
                                                     history)
                             for m in messages]
                 assert protocol.vector_approvals(carrier, peer, messages,
-                                                 now) == expected
+                                                 now, batch_history) == expected
 
         check(0.0)
         for step, op in enumerate(ops, start=1):
             now = float(step)
             if op[0] == "create":
                 protocol.on_message_created(messages[op[1]], now)
+            elif op[0] == "contact":
+                history.record(op[1], op[2], now)
             else:
                 _, index, choice, peer = op
                 carrier = holders[index][choice % len(holders[index])]
@@ -244,6 +253,16 @@ class TestVectorApprovalsContract:
                 if peer not in holders[index]:
                     holders[index].append(peer)
             check(now)
+
+    def test_batched_protocols_keep_the_no_op_contact_hooks(self):
+        """The batched path calls no per-contact hook, so every protocol
+        on it (all six paper algorithms among them) must keep the base
+        class's no-ops."""
+        for label, make in _BATCH_PROTOCOLS.items():
+            cls = type(make())
+            for hook in ("on_contact_start", "on_contact_end"):
+                assert (getattr(cls, hook)
+                        is getattr(RoutingProtocol, hook)), (label, hook)
 
 
 class TestDirectDelivery:
