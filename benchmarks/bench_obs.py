@@ -23,7 +23,11 @@ engine.  Two baseline sources, in order of rigor:
   matching configuration (best-of-N against best-of-N).  Cross-run
   wall-clock comparison: indicative, not load-proof.
 
-Best-case CPU times land in ``BENCH_obs.json``::
+The four modes of one configuration are timed in interleaved rounds
+(``_bench_utils.time_interleaved``), and each ``*_overhead`` is the median
+of the per-round mode/off ratios, so a slow stretch of a shared machine
+hits a whole round and cancels.  Medians and overheads land in
+``BENCH_obs.json``::
 
     PYTHONPATH=src python benchmarks/bench_obs.py [--quick]
         [--benchmark-json PATH] [--baseline-json PATH]
@@ -36,6 +40,7 @@ import argparse
 import gc
 import json
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -47,6 +52,7 @@ for path in (_HERE, _HERE.parent / "src", _HERE.parent / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from _bench_utils import time_interleaved  # noqa: E402
 from oracles.trace_engine import TraceEngine  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.forwarding import PoissonMessageWorkload  # noqa: E402
@@ -59,25 +65,6 @@ DEFAULT_BASELINE_JSON = _HERE.parent / "BENCH_sim.json"
 ALGORITHMS = ("Epidemic", "Greedy", "Dynamic Programming")
 #: "trace" is the trace-driven oracle (tests/oracles/trace_engine.py)
 ENGINES = {"trace": TraceEngine, "des": DesSimulator}
-
-
-def _time_runs(factory, repeats: int) -> list:
-    """Best-case CPU-time samples: GC parked, ``process_time`` clock.
-
-    The JSONL mode writes to disk, which ``process_time`` undercounts,
-    but the comparisons this benchmark publishes are between CPU-bound
-    probe paths — and on a loaded machine wall-clock medians are noise.
-    """
-    factory()  # warm-up
-    samples = []
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        started = time.process_time()
-        factory()
-        samples.append(time.process_time() - started)
-        gc.enable()
-    return samples
 
 
 def _modes(scratch_dir: Path):
@@ -181,7 +168,7 @@ def main() -> None:
     args = parser.parse_args()
 
     scale = 0.2 if args.quick else 0.5
-    repeats = 3 if args.quick else 5
+    repeats = 9 if args.quick else 15
     rate = 0.02 if args.quick else 0.05
     trace = load_dataset("infocom06-9-12", scale=scale, contact_scale=scale)
     messages = PoissonMessageWorkload(rate=rate).generate(trace, seed=77)
@@ -227,22 +214,21 @@ def main() -> None:
         for name in ALGORITHMS:
             algorithm_record = {}
             for engine_name, simulator_class in ENGINES.items():
-                bests = {}
-                off_samples = []
-                for mode, kwargs_factory in modes.items():
-                    samples = _time_runs(
-                        lambda: simulator_class(
-                            trace, algorithm_by_name(name),
-                            **kwargs_factory()).run(messages),
-                        repeats)
-                    bests[mode] = min(samples)
-                    if mode == "off":
-                        off_samples = samples
-                off = bests["off"]
-                entry = {f"{mode}_s": best for mode, best in bests.items()}
+                runs = {
+                    mode: (lambda factory=factory: simulator_class(
+                        trace, algorithm_by_name(name),
+                        **factory()).run(messages))
+                    for mode, factory in modes.items()}
+                for run in runs.values():
+                    run()  # warm-up
+                samples = time_interleaved(runs, repeats)
+                off_samples = samples["off"]
+                entry = {f"{mode}_s": statistics.median(times)
+                         for mode, times in samples.items()}
                 for mode in ("recording", "jsonl", "telemetry"):
-                    entry[f"{mode}_overhead"] = \
-                        bests[mode] / off if off else None
+                    entry[f"{mode}_overhead"] = statistics.median(
+                        probed / off
+                        for probed, off in zip(samples[mode], off_samples))
                 ratio = None
                 if paired is not None:
                     old_engines, old_messages = paired
@@ -283,9 +269,9 @@ def main() -> None:
                 versus = ("" if "vs_baseline" not in entry
                           else f"   vs baseline {entry['vs_baseline']:5.2f}x")
                 print(f"  {name:<22s} {engine_name:<6s} "
-                      f"off {off * 1e3:7.1f} ms   "
-                      f"jsonl {bests['jsonl'] * 1e3:7.1f} ms   "
-                      f"telemetry {bests['telemetry'] * 1e3:7.1f} ms"
+                      f"off {entry['off_s'] * 1e3:7.1f} ms   "
+                      f"jsonl {entry['jsonl_s'] * 1e3:7.1f} ms   "
+                      f"telemetry {entry['telemetry_s'] * 1e3:7.1f} ms"
                       f"{versus}")
             records[name] = algorithm_record
 

@@ -10,10 +10,10 @@ subsystem's perf *and* quality trajectory is tracked across PRs.
 
 A ``city_1k`` section times the vector engine at city scale: one seeded
 1000-node ``rwp-grid`` city (1100 m square, 20 m radio, 300 s) replayed by
-Epidemic (the flood), PRoPHET (the hook path), and Greedy Online and FRESH
-(batched verdicts over the recorded contact history), timed in interleaved
-rounds (each round runs the four back to
-back).  Its ``prophet_vs_epidemic_ratio`` — the median of the per-round
+Epidemic, PRoPHET (the one protocol with contact hooks, which the kernel
+calls between timeline events), and Greedy Online and FRESH (verdicts over
+the recorded contact history), all four on the vector engine's flood,
+timed in interleaved rounds (each round runs the four back to back).  Its ``prophet_vs_epidemic_ratio`` — the median of the per-round
 PRoPHET/Epidemic ratios — is enforced (lower is better) by
 ``repro obs bench-check``.  Medians are written to
 ``BENCH_routing.json`` at the repo root::
@@ -55,9 +55,9 @@ CITY_1K_PROTOCOLS = ("Epidemic", "PRoPHET", "Greedy Online", "FRESH")
 
 
 def _city_1k(repeats: int) -> dict:
-    """Vector-engine times of PRoPHET (the hook path) and the two
+    """Vector-engine times of PRoPHET (contact hooks) and the two
     history-reading paper algorithms on one 1000-node city, with
-    Epidemic's flood as the yardstick."""
+    Epidemic as the yardstick; all four take the flood."""
     trace = CITY_1K.build(seed=1)
     messages = PoissonMessageWorkload(
         rate=0.2, generation_window=(0.0, CITY_1K.duration / 2)

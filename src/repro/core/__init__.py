@@ -8,8 +8,6 @@ from .enumeration import (
     PathEnumerator,
     enumerate_batch,
     enumerate_paths,
-    epidemic_infection_times,
-    first_delivery_time,
 )
 from .fastpath import NodeInterner, StepTables
 from .explosion import (
@@ -58,8 +56,6 @@ __all__ = [
     "enumerate_paths",
     "NodeInterner",
     "StepTables",
-    "epidemic_infection_times",
-    "first_delivery_time",
     "DEFAULT_EXPLOSION_THRESHOLD",
     "ExplosionRecord",
     "analyze_dataset",

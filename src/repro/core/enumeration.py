@@ -52,8 +52,6 @@ __all__ = [
     "PathEnumerator",
     "enumerate_paths",
     "enumerate_batch",
-    "epidemic_infection_times",
-    "first_delivery_time",
 ]
 
 #: Default number of paths kept per node, matching the paper's k >= 2000.
@@ -815,53 +813,3 @@ def enumerate_batch(
     enumerator = PathEnumerator(graph, k=k, engine=engine)
     return enumerator.enumerate_batch(
         messages, max_total_deliveries=max_total_deliveries)
-
-
-def epidemic_infection_times(
-    graph: SpaceTimeGraph,
-    source: NodeId,
-    creation_time: float,
-) -> Dict[NodeId, float]:
-    """Earliest time each node can receive a message under epidemic forwarding.
-
-    Implemented as a step-wise epidemic closure over the space-time graph:
-    at every step, every connected component of the contact graph that
-    contains an infected node becomes entirely infected at that step's vertex
-    time.  The source is "infected" at the creation time itself.
-
-    The value for a node equals the arrival time of the optimal path to that
-    node, i.e. ``T(σ, x, t1) = T_Epidemic`` from the paper.
-    """
-    if source not in graph.nodes:
-        raise ValueError(f"source {source} is not a node of the trace")
-    infection: Dict[NodeId, float] = {source: creation_time}
-    start_step = graph.step_of_time(creation_time)
-    for step in range(start_step, graph.num_steps):
-        adjacency = graph.adjacency(step)
-        if not adjacency:
-            continue
-        if len(infection) == len(graph.nodes):
-            break
-        arrival_time = graph.time_of_step(step)
-        for component in graph.components(step):
-            if any(node in infection for node in component):
-                for node in component:
-                    infection.setdefault(node, arrival_time)
-    return infection
-
-
-def first_delivery_time(
-    graph: SpaceTimeGraph,
-    source: NodeId,
-    destination: NodeId,
-    creation_time: float,
-) -> Optional[float]:
-    """``T1`` — arrival time of the optimal path, or None if undeliverable.
-
-    Cheaper than full enumeration; agrees with the first delivery of
-    :meth:`PathEnumerator.enumerate` (a property exercised by the tests).
-    """
-    if destination not in graph.nodes:
-        raise ValueError(f"destination {destination} is not a node of the trace")
-    times = epidemic_infection_times(graph, source, creation_time)
-    return times.get(destination)

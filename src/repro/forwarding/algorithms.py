@@ -3,16 +3,14 @@
 Every forwarding strategy — the paper's six heuristics here and the
 stateful zoo of :mod:`repro.routing.protocols` — implements
 :class:`RoutingProtocol` (lifecycle in :mod:`repro.routing.base`): given
-that a *carrier* holding a copy of a message is in contact with a *peer*,
-``should_forward`` decides whether the peer receives a copy.  Delivery to the
+that a *carrier* holding copies of messages is in contact with a *peer*,
+``vector_approvals`` decides which of them the peer receives.  Delivery to the
 destination itself is not an algorithm decision — every reasonable algorithm
 delivers on contact with the destination (the paper's *minimal progress*
 assumption) and the simulator enforces it.
 
 The paper's six are per-contact tests that keep no per-node state and use
-none of the lifecycle hooks, so all six judge a contact's candidates as one
-``vector_approvals`` batch in the vector engine.  They span the paper's
-design axes:
+none of the lifecycle hooks.  They span the paper's design axes:
 
 ====================  ===========  =========  =====================
 algorithm             destination  hop scope  knowledge
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..contacts import ContactTrace, NodeId
 from .history import OnlineContactHistory
@@ -55,9 +53,9 @@ __all__ = [
 class RoutingProtocol(ABC):
     """Interface implemented by every forwarding strategy.
 
-    The lifecycle (``prepare``, the hooks and ``should_forward``) is
-    described in :mod:`repro.routing.base`; every engine calls it at the
-    same points in the same event order.
+    The lifecycle (``prepare``, the hooks and the one verdict method,
+    ``vector_approvals``) is described in :mod:`repro.routing.base`; every
+    engine calls it at the same points in the same event order.
     """
 
     #: Human-readable name used in result tables and the leaderboard.
@@ -76,54 +74,26 @@ class RoutingProtocol(ABC):
     #: What the protocol knows ("none", "history", "oracle", "learned").
     knowledge: str = "none"
 
-    #: Whether the vector engine may judge a contact's candidates as one
-    #: ``vector_approvals`` batch and skip the per-contact lifecycle hooks
-    #: (``on_contact_start``/``end``), which must then be no-ops for the
-    #: protocol.  On a large trace most contact events move no message, so
-    #: this is where most of the vector engine's per-event win comes from.
-    vector_fastpath: bool = False
-
-    #: Whether the protocol's verdicts read the online contact history.  On
-    #: the batched path the vector engine records the history only for such
-    #: a protocol, and hands it to ``vector_approvals``; every other batched
-    #: protocol gets ``None`` there.  Every other engine path records it.
+    #: Whether the protocol's verdicts or contact hooks read the online
+    #: contact history.  The vector engine records the history only for
+    #: such a protocol; every other protocol gets ``None`` in its place.
     reads_history: bool = False
 
-    vector_approvals: Optional[
-        Callable[[NodeId, NodeId, Sequence[Message], float,
-                  Optional[OnlineContactHistory]], List[bool]]
-    ] = None
-    """Optional batch twin of ``should_forward`` for the vector engine.
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "should_forward" in cls.__dict__:
+            raise TypeError(
+                f"{cls.__name__} defines should_forward; a protocol states "
+                "its verdict once, as vector_approvals")
 
-    ``vector_approvals(carrier, peer, messages, now, history)`` returns one
-    verdict per offered message, evaluated against the protocol's
-    *current* state, and must equal ``[should_forward(carrier, peer, m,
-    now, history) for m in messages]``.  *history* is the run's
-    :class:`OnlineContactHistory` when the protocol sets ``reads_history``
-    and ``None`` otherwise, so a protocol that reads it without declaring
-    so fails at its first batch.  The engine uses the method only when
-    ``vector_fastpath`` is set, and only for candidates that already
-    survived its bitmask screen (the carrier holds a live copy, the peer
-    never held one).  It charges the same forwarding decisions and
-    approvals either way, so the resource counters of a vector run match
-    the DES engine's bit for bit.  ``None`` keeps the protocol on the
-    scalar decision path.
-
-    Batch evaluation is sound because judging one message never changes
-    the verdict of another in the same batch: ``on_forwarded`` (where
-    budgets are spent and tokens move) only touches the state of the
-    message that actually moved, which appears exactly once per batch.  A
-    protocol whose verdicts couple across messages must leave this
-    ``None``.  The history changes only at contact starts, never inside a
-    zero-time relay, so verdicts that read it meet the same contract.
-
-    Batches are formed inside the zero-time relay too: the engine's
-    message-parallel flood judges every message a relay node can pass to
-    one peer as one batch, so the relays of different messages
-    interleave.  Each message still sees its own calls in its own order,
-    but ``should_forward``, ``on_forwarded`` and ``on_delivered`` for one
-    message must not read or write another message's state.
-    """
+    @property
+    def vector_fastpath(self) -> bool:
+        """Whether the protocol leaves both contact hooks as no-ops (the
+        vector engine then calls neither); read-only, derived from the
+        class."""
+        cls = type(self)
+        return (cls.on_contact_start is RoutingProtocol.on_contact_start
+                and cls.on_contact_end is RoutingProtocol.on_contact_end)
 
     def prepare(self, trace: ContactTrace) -> None:
         """Reset per-run state and precompute any oracle state.
@@ -139,11 +109,11 @@ class RoutingProtocol(ABC):
         """*message* entered the network at ``message.source``."""
 
     def on_contact_start(self, a: NodeId, b: NodeId, now: float,
-                         history: OnlineContactHistory) -> None:
+                         history: Optional[OnlineContactHistory]) -> None:
         """A contact between *a* and *b* opened at *now*."""
 
     def on_contact_end(self, a: NodeId, b: NodeId, now: float,
-                       history: OnlineContactHistory) -> None:
+                       history: Optional[OnlineContactHistory]) -> None:
         """A contact between *a* and *b* closed at *now*."""
 
     def on_forwarded(self, message: Message, carrier: NodeId, peer: NodeId,
@@ -155,15 +125,57 @@ class RoutingProtocol(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
+    def vector_approvals(
+        self,
+        carrier: NodeId,
+        peer: NodeId,
+        messages: Sequence[Message],
+        now: float,
+        history: Optional[OnlineContactHistory],
+    ) -> List[bool]:
+        """One verdict per message: does *peer* get a copy from *carrier*?
+
+        The protocol's only verdict method.  Verdicts are evaluated against
+        the protocol's *current* state.  *history* is the run's
+        :class:`OnlineContactHistory` when the protocol sets
+        ``reads_history`` and ``None`` otherwise, so a protocol that reads
+        it without declaring so fails at its first verdict.  Engines ask
+        only for candidates that survived their guards (the carrier holds
+        a live copy, the peer never held one, the peer is not the
+        destination) and charge one decision per message and one approval
+        per True verdict, so batching never moves a ``ResourceStats``
+        counter.
+
+        Batch evaluation is sound because judging one message never
+        changes the verdict of another in the same batch: ``on_forwarded``
+        (where budgets are spent and tokens move) only touches the state
+        of the message that actually moved, which appears exactly once per
+        batch.  The history and any contact-hook state change only at
+        contact events, never inside a zero-time relay, so verdicts that
+        read them meet the same contract.
+
+        Batches are formed inside the zero-time relay too: the vector
+        engine's message-parallel flood judges every message a relay node
+        can pass to one peer as one batch, so the relays of different
+        messages interleave.  Each message still sees its own calls in its
+        own order, but verdicts, ``on_forwarded`` and ``on_delivered`` for
+        one message must not read or write another message's state.
+        """
+
     def should_forward(
         self,
         carrier: NodeId,
         peer: NodeId,
         message: Message,
         now: float,
-        history: OnlineContactHistory,
+        history: Optional[OnlineContactHistory],
     ) -> bool:
-        """Return True if *carrier* should hand a copy of *message* to *peer*."""
+        """The verdict for one message: a one-message ``vector_approvals``
+        batch, seeing *history* only if the protocol ``reads_history``."""
+        if not self.reads_history:
+            history = None
+        return self.vector_approvals(carrier, peer, [message], now,
+                                     history)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -181,7 +193,6 @@ class UtilityForwarding(RoutingProtocol):
     stateful = False
     replication = "utility"
     knowledge = "history"
-    vector_fastpath = True
 
     @abstractmethod
     def utility(
@@ -189,21 +200,9 @@ class UtilityForwarding(RoutingProtocol):
         node: NodeId,
         destination: NodeId,
         now: float,
-        history: OnlineContactHistory,
+        history: Optional[OnlineContactHistory],
     ) -> float:
         """Larger is better; ``-inf`` means "knows nothing useful"."""
-
-    def should_forward(
-        self,
-        carrier: NodeId,
-        peer: NodeId,
-        message: Message,
-        now: float,
-        history: OnlineContactHistory,
-    ) -> bool:
-        destination = message.destination
-        return (self.utility(peer, destination, now, history)
-                > self.utility(carrier, destination, now, history))
 
     def vector_approvals(self, carrier, peer, messages, now, history):
         utility = self.utility
@@ -217,17 +216,11 @@ class EpidemicForwarding(RoutingProtocol):
 
     Epidemic forwarding finds the optimal path whenever one exists, so it
     upper-bounds both success rate and delay for every other algorithm — the
-    paper uses it as the reference throughout.  It consults neither the
-    contact history nor any hook, so the vector engine runs it on the fast
-    path.
+    paper uses it as the reference throughout.
     """
 
     name = "Epidemic"
     stateful = False
-    vector_fastpath = True
-
-    def should_forward(self, carrier, peer, message, now, history) -> bool:
-        return True
 
     def vector_approvals(self, carrier, peer, messages, now, history):
         return [True] * len(messages)
@@ -324,7 +317,6 @@ class DynamicProgrammingForwarding(RoutingProtocol):
     stateful = False
     replication = "utility"
     knowledge = "oracle"
-    vector_fastpath = True
 
     def __init__(self) -> None:
         self._table: Optional[MeedTable] = None
@@ -337,11 +329,6 @@ class DynamicProgrammingForwarding(RoutingProtocol):
         if self._table is None:
             raise RuntimeError("DynamicProgrammingForwarding.prepare() was not called")
         return self._table
-
-    def should_forward(self, carrier, peer, message, now, history) -> bool:
-        table = self.table
-        destination = message.destination
-        return table.distance(peer, destination) < table.distance(carrier, destination)
 
     def vector_approvals(self, carrier, peer, messages, now, history):
         distance = self.table.distance

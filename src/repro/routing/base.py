@@ -3,7 +3,7 @@
 :class:`RoutingProtocol` is the one forwarding API: the paper's six
 heuristics (:mod:`repro.forwarding.algorithms`) and the stateful zoo
 (:mod:`repro.routing.protocols`) all subclass it.  The paper's six reduce
-to a stateless per-contact ``should_forward`` test.  The modern DTN
+to a stateless per-contact verdict.  The modern DTN
 protocols this package adds — spray-and-wait replication budgets, PRoPHET's
 learned delivery predictabilities, probabilistic flooding — need *per-node
 persistent state* that evolves with the contact process.  A
@@ -17,10 +17,13 @@ persistent state* that evolves with the contact process.  A
     their copy budget here).
 ``on_contact_start(a, b, now, history)`` / ``on_contact_end(a, b, now, history)``
     a contact opened/closed (PRoPHET updates predictabilities here).
-``should_forward(carrier, peer, message, now, history)``
-    the replication-aware forward decision.  It receives the *message*, so
-    protocols can consult its destination and per-message state (remaining
-    copies, token ownership).
+``vector_approvals(carrier, peer, messages, now, history)``
+    the replication-aware forward decision, one verdict per message, and
+    the one verdict method a protocol defines.  It receives the
+    *messages*, so protocols can consult each destination and per-message
+    state (remaining copies, token ownership).  ``should_forward`` judges
+    one message as a one-message batch; it is defined once, on the base
+    class, and a subclass that defines it is refused (``TypeError``).
 ``on_forwarded(message, carrier, peer, now)``
     a copy actually moved (this is where copy budgets are *spent* — a
     decision alone costs nothing, so a transfer rejected by a full buffer
@@ -39,14 +42,13 @@ decision; it does not spend replication budget.
 The class itself lives in :mod:`repro.forwarding.algorithms`, next to the
 paper's six, because the routing registry imports those six: defining it
 here would make ``repro.routing`` and ``repro.forwarding`` import each
-other.  ``vector_fastpath`` and ``vector_approvals`` opt a protocol into
-the vector engine's batched fast path, which calls no per-contact hook;
-the ``vector_approvals`` docstring states the batch contract.  A batched
-protocol whose verdicts read the contact history also sets
-``reads_history``: the engine then records the history on that path and
-passes it as ``vector_approvals``' fifth argument (``None`` otherwise).
-All six paper algorithms are batched; of the zoo, PRoPHET alone needs
-the hooks.
+other.  The ``vector_approvals`` docstring states the batch contract.
+The vector engine calls ``on_contact_start``/``on_contact_end`` only
+when the protocol's class overrides them (of the catalogue, PRoPHET
+alone does; the read-only ``vector_fastpath`` is true for every other
+protocol).  A protocol whose verdicts or hooks read the contact history
+sets ``reads_history``: the vector engine records the history only then
+and passes it as their ``history`` argument, ``None`` otherwise.
 """
 
 from ..forwarding.algorithms import RoutingProtocol

@@ -34,7 +34,6 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from ..contacts import ContactTrace, NodeId
-from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
 from .base import RoutingProtocol
 
@@ -60,12 +59,9 @@ class DirectDeliveryProtocol(RoutingProtocol):
     stateful = False
     replication = "single-copy"
     knowledge = "none"
-    vector_fastpath = True
-
-    def should_forward(self, carrier, peer, message, now, history) -> bool:
-        return False  # minimal progress already covers the destination
 
     def vector_approvals(self, carrier, peer, messages, now, history):
+        # minimal progress already covers the destination
         return [False] * len(messages)
 
 
@@ -81,7 +77,6 @@ class FirstContactProtocol(RoutingProtocol):
     name = "First Contact"
     replication = "single-copy"
     knowledge = "none"
-    vector_fastpath = True
 
     def __init__(self) -> None:
         self._owner: Dict[int, NodeId] = {}
@@ -91,9 +86,6 @@ class FirstContactProtocol(RoutingProtocol):
 
     def on_message_created(self, message: Message, now: float) -> None:
         self._owner[message.id] = message.source
-
-    def should_forward(self, carrier, peer, message, now, history) -> bool:
-        return self._owner.get(message.id) == carrier
 
     def on_forwarded(self, message, carrier, peer, now) -> None:
         if self._owner.get(message.id) == carrier:
@@ -116,7 +108,6 @@ class _SprayAndWaitBase(RoutingProtocol):
 
     replication = "L copies"
     knowledge = "none"
-    vector_fastpath = True
 
     def __init__(self, copies: int = 8) -> None:
         if copies < 1:
@@ -137,9 +128,6 @@ class _SprayAndWaitBase(RoutingProtocol):
     def total_copies(self, message_id: int) -> int:
         """Total logical copies of the message in the network."""
         return sum(self._copies.get(message_id, {}).values())
-
-    def should_forward(self, carrier, peer, message, now, history) -> bool:
-        return self.copies_held(message.id, carrier) > 1
 
     def vector_approvals(self, carrier, peer, messages, now, history):
         copies = self._copies
@@ -179,10 +167,6 @@ class SourceSprayAndWaitProtocol(_SprayAndWaitBase):
     """
 
     name = "Source Spray-and-Wait"
-
-    def should_forward(self, carrier, peer, message, now, history) -> bool:
-        return (carrier == message.source
-                and self.copies_held(message.id, carrier) > 1)
 
     def vector_approvals(self, carrier, peer, messages, now, history):
         copies = self._copies
@@ -354,10 +338,11 @@ class ProphetProtocol(RoutingProtocol):
             scratch[mine] = 0.0
             np.maximum(row, scratch, out=row)
 
-    def should_forward(self, carrier, peer, message, now, history) -> bool:
-        destination = message.destination
-        return (self.predictability(peer, destination, now)
-                > self.predictability(carrier, destination, now))
+    def vector_approvals(self, carrier, peer, messages, now, history):
+        predictability = self.predictability
+        return [predictability(peer, m.destination, now)
+                > predictability(carrier, m.destination, now)
+                for m in messages]
 
 
 class HypergossipProtocol(RoutingProtocol):
@@ -377,7 +362,6 @@ class HypergossipProtocol(RoutingProtocol):
     stateful = False
     replication = "probabilistic"
     knowledge = "none"
-    vector_fastpath = True
 
     def __init__(self, p: float = 0.7, seed: int = 0) -> None:
         if not 0.0 <= p <= 1.0:
@@ -389,11 +373,6 @@ class HypergossipProtocol(RoutingProtocol):
         key = f"{self.seed}|{message_id}|{carrier!r}|{peer!r}".encode()
         digest = hashlib.blake2b(key, digest_size=8).digest()
         return int.from_bytes(digest, "big") / 2.0 ** 64
-
-    def should_forward(self, carrier, peer, message, now, history) -> bool:
-        if self.p >= 1.0:
-            return True
-        return self._coin(message.id, carrier, peer) < self.p
 
     def vector_approvals(self, carrier, peer, messages, now, history):
         if self.p >= 1.0:

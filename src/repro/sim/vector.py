@@ -17,11 +17,11 @@ magnitude faster:
   so ties resolve identically, also across chunk edges.
 * **one replay loop** — every native run goes through :meth:`_replay`,
   with the contact bookkeeping inlined.  Locals fixed before the loop
-  select the rest: ``recording`` records the contact history (a protocol
-  off the fast path, or one that reads the history), ``hooks`` (a protocol
-  off the fast path) calls ``on_contact_start``/``on_contact_end``, a
-  tracer gets ``contact_start``/``contact_end``, and telemetry counts and
-  samples each event.
+  select the rest: the contact history is recorded for a protocol that
+  sets ``reads_history``, ``on_contact_start``/``on_contact_end`` are
+  called when the protocol's class overrides them, a tracer gets
+  ``contact_start``/``contact_end``, and telemetry counts and samples each
+  event.
 * **per-node candidate bitmasks** — messages are interned to dense
   indices (the :mod:`repro.core.fastpath` idiom) and each node tracks the
   set of live copies it carries and the set of messages it ever held as
@@ -32,14 +32,10 @@ magnitude faster:
   every carried message.  The screen only removes offers the DES engine's
   own pre-decision guards would reject, so the forwarding-decision
   counters still match exactly.
-* **batched protocol fast path** — protocols that set
-  ``vector_fastpath`` and implement ``vector_approvals`` (see
-  :class:`repro.routing.RoutingProtocol`) judge the surviving candidates
-  of a contact as one batch, and the flag lets the engine skip the
-  per-contact lifecycle hooks (no-ops for them).  The contact history is
-  recorded on this path only for a protocol that sets ``reads_history``,
-  and handed to its ``vector_approvals``.  Every other protocol takes the
-  per-message ``should_forward`` path and still runs unchanged.
+* **batched verdicts** — every protocol judges the surviving candidates
+  of a contact as one ``vector_approvals`` batch (see
+  :class:`repro.routing.RoutingProtocol`), which sees the contact history
+  only if the protocol sets ``reads_history`` (``None`` otherwise).
 * **message-parallel flood** — on the flood gate (below) the zero-time
   relay walks each node once per contact instead of once per message: one
   DFS over ``(node, live-message bitmask)`` stack entries screens
@@ -71,16 +67,23 @@ the counters are sums, so their totals do not depend on order; and the
 message's verdict — is exactly the cross-message independence the
 interleaving needs.  As in the per-message relay, a delivery made by the
 contact itself does not relay onward, while a delivery made inside the
-relay pushes the destination.
+relay pushes the destination.  Contact hooks and telemetry fit the
+argument because both act only between timeline events, where the two
+paths agree: the hooks run at contact starts and ends in the replay loop,
+not inside a relay, so a relay reads the same protocol state either way
+(PRoPHET's verdicts age rows only to the current time, which a second
+read at that time leaves unchanged); telemetry counts each timeline event
+and samples the occupancy after it, and after every event the holdings,
+and so the occupancy, are equal on both paths.
 
-The flood gate is decided once per run from the run's inputs: a fast-path
-protocol, infinite buffers, ``copy`` semantics, one effective size for
-every message, and neither a tracer nor telemetry.  Everything else keeps
-the per-message relay, because there the order across messages is
-observable: a tracer records DES event order byte for byte, hand-off
-interleaves adds and removes (so peak occupancy depends on the order),
-finite buffers evict across messages, and with mixed sizes the float
-occupancy sum depends on addition order.  :attr:`VectorSimulator.
+The run has two native paths, and the gate between them is decided once
+per run from the run's inputs: infinite buffers, ``copy`` semantics, one
+effective size for every message, and no tracer take the flood.
+Everything else keeps the per-message relay, because there the order
+across messages is observable: a tracer records DES event order byte for
+byte, hand-off interleaves adds and removes (so peak occupancy depends on
+the order), finite buffers evict across messages, and with mixed sizes the
+float occupancy sum depends on addition order.  :attr:`VectorSimulator.
 code_path` reports which path a run took.
 
 Equivalence guarantee
@@ -178,7 +181,7 @@ class VectorSimulator:
                           or constraints.active_channel is not None
                           or constraints.active_churn is not None)
         # run-scoped state, rebound by run()
-        self._history = OnlineContactHistory()
+        self._history: Optional[OnlineContactHistory] = None
         self._stats = ResourceStats()
         self._code_path: Optional[str] = None
 
@@ -191,9 +194,8 @@ class VectorSimulator:
         """The code path the last :meth:`run` took, ``None`` before one.
 
         ``"delegate"`` (handed to the DES engine), ``"flood"`` (the
-        message-parallel relay), ``"fastpath"`` (batched decisions, one
-        relay per message) or ``"hook"`` (per-message ``should_forward``
-        and the lifecycle hooks); the module docstring gives the gates.
+        message-parallel relay) or ``"fastpath"`` (one relay per
+        message); the module docstring gives the gates.
         """
         return self._code_path
 
@@ -215,21 +217,17 @@ class VectorSimulator:
         protocol = self._protocol
         self._decisions = self._approvals = 0
         protocol.prepare(self._trace)
-        self._fastpath = protocol.vector_fastpath
-        self._approvals_fn = (protocol.vector_approvals
-                              if self._fastpath else None)
-        # the contact history is recorded off the fast path, and on it
-        # only for a protocol whose verdicts read it
-        self._recording = not self._fastpath or protocol.reads_history
+        self._approvals_fn = protocol.vector_approvals
 
         interner = NodeInterner(self._trace.nodes)
         index_of = interner.index_of
         self._num_nodes = num_nodes = len(interner)
         self._node_of = interner.nodes
         self._index_of = index_of
-        self._history = OnlineContactHistory()
-        # what a batch verdict sees: None unless the protocol declares it
-        self._batch_history = self._history if self._recording else None
+        # the contact history is recorded only for a protocol that reads
+        # it; verdicts and contact hooks see None otherwise
+        self._history = (OnlineContactHistory() if protocol.reads_history
+                         else None)
         self._stats = stats = ResourceStats()
 
         # message interning, fastpath-style: message id -> dense slot, whose
@@ -245,12 +243,10 @@ class VectorSimulator:
         # would apply, skipping the BufferEntry allocations entirely
         self._fastbuf = self._constraints.buffer_capacity is None
         sizes = set(self._size_of.values())
-        self._flooding = (self._fastpath and self._fastbuf and self._copy
-                          and len(sizes) <= 1
-                          and self._tracer is None and self._telemetry is None)
+        self._flooding = (self._fastbuf and self._copy and len(sizes) <= 1
+                          and self._tracer is None)
         self._flood_size = sizes.pop() if self._flooding and sizes else 0.0
-        self._code_path = ("flood" if self._flooding
-                           else "fastpath" if self._fastpath else "hook")
+        self._code_path = "flood" if self._flooding else "fastpath"
 
         # contact/carried containers keep the exact types (and therefore
         # mutation-order-dependent iteration order) of the DES engine.  The
@@ -416,8 +412,8 @@ class VectorSimulator:
         engine's handlers make them: the history record, the
         ``on_contact_start`` hook and ``contact_start`` come before the
         pair count, ``contact_end`` and ``on_contact_end`` after it.  A
-        fast-path protocol that reads the history gets the record and no
-        hook.  On the flood gate a contact's offer floods.
+        contact hook is called only if the protocol's class overrides it.
+        On the flood gate a contact's offer floods.
         """
         num_nodes = self._num_nodes
         node_of = self._node_of
@@ -430,12 +426,14 @@ class VectorSimulator:
         offer = self._offer_flood if self._flooding else self._offer
         on_create = self._on_create
         on_expire = self._on_expire
-        recording = self._recording
-        hooks = not self._fastpath
-        record = self._history.record
         history = self._history
-        start_hook = self._protocol.on_contact_start
-        end_hook = self._protocol.on_contact_end
+        record = None if history is None else history.record
+        protocol = self._protocol
+        start_hook = end_hook = None
+        if type(protocol).on_contact_start is not RoutingProtocol.on_contact_start:
+            start_hook = protocol.on_contact_start
+        if type(protocol).on_contact_end is not RoutingProtocol.on_contact_end:
+            end_hook = protocol.on_contact_end
         tracer = self._run_tracer
         remaining = len(timeline[0])
         for events in _chunks(timeline):
@@ -444,10 +442,10 @@ class VectorSimulator:
                     if tracer is not None:
                         tracer.emit("contact_start", time,
                                     a=node_of[a], b=node_of[b])
-                    if recording:
+                    if record is not None:
                         record(node_of[a], node_of[b], time)
-                        if hooks:
-                            start_hook(node_of[a], node_of[b], time, history)
+                    if start_hook is not None:
+                        start_hook(node_of[a], node_of[b], time, history)
                     # Contact stores its endpoints canonically ordered, so
                     # the same unordered pair always packs to the same key
                     pair = a * num_nodes + b
@@ -476,7 +474,7 @@ class VectorSimulator:
                     if tracer is not None:
                         tracer.emit("contact_end", time,
                                     a=node_of[a], b=node_of[b])
-                    if hooks:
+                    if end_hook is not None:
                         end_hook(node_of[a], node_of[b], time, history)
                 elif kind == CREATE:
                     on_create(time, message_list[a])
@@ -580,14 +578,9 @@ class VectorSimulator:
         batch = [by_id[mid] for mid in list(self._carried[carrier])
                  if (cand >> slot_of[mid]) & 1]
         attempt = self._attempt
-        approvals_fn = self._approvals_fn
-        if approvals_fn is None:
-            for message in batch:
-                attempt(message, carrier, peer, time)
-            return
         node_of = self._node_of
-        verdicts = approvals_fn(node_of[carrier], node_of[peer], batch, time,
-                                self._batch_history)
+        verdicts = self._approvals_fn(node_of[carrier], node_of[peer], batch,
+                                      time, self._history)
         for message, approved in zip(batch, verdicts):
             attempt(message, carrier, peer, time, approved=approved)
 
@@ -604,12 +597,12 @@ class VectorSimulator:
         carrier never holds a copy received after *time* — and a hop
         column keeps only the hop count.
 
-        With ``approved=None`` the protocol decides through a scalar
-        ``should_forward``; otherwise *approved* is the message's verdict
-        from a ``vector_approvals`` batch, charged to the decision
-        counters exactly as the scalar call would charge it (one decision
-        per non-destination offer, one approval per True verdict), keeping
-        ``ResourceStats`` identical to a DES run.
+        With ``approved=None`` (the relay) the protocol judges the one
+        message through ``should_forward``; otherwise *approved* is its
+        verdict from the contact's ``vector_approvals`` batch.  Either
+        way one decision is charged per non-destination offer and one
+        approval per True verdict, keeping ``ResourceStats`` identical to
+        a DES run.
         """
         message_id = message.id
         slot = self._slot_of[message_id]
@@ -740,7 +733,7 @@ class VectorSimulator:
             node_of = self._node_of
             carrier_node, peer_node = node_of[carrier], node_of[peer]
             verdicts = self._approvals_fn(carrier_node, peer_node, batch,
-                                          time, self._batch_history)
+                                          time, self._history)
             on_forwarded = self._protocol.on_forwarded
             approvals = 0
             for slot, message, approved in zip(slots, batch, verdicts):

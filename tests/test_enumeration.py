@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from oracles.path_oracle import epidemic_infection_times, first_delivery_time
 
 from repro.contacts import Contact, ContactTrace
 from repro.core import (
@@ -13,8 +14,6 @@ from repro.core import (
     PathEnumerator,
     SpaceTimeGraph,
     enumerate_paths,
-    epidemic_infection_times,
-    first_delivery_time,
     is_valid_path,
 )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.trace_engine import TraceEngine
 
 from repro.contacts import Contact, ContactTrace
 from repro.forwarding import (
@@ -13,6 +14,7 @@ from repro.forwarding import (
     Message,
     simulate,
 )
+from repro.sim import DesSimulator, VectorSimulator
 
 
 @pytest.fixture
@@ -27,6 +29,15 @@ def chain_trace() -> ContactTrace:
 
 def _message(source, destination, t=0.0, mid=0):
     return Message(id=mid, source=source, destination=destination, creation_time=t)
+
+
+class NeverForward(EpidemicForwarding):
+    """Epidemic with its verdict overridden: never hand over a copy."""
+
+    name = "Never"
+
+    def vector_approvals(self, carrier, peer, messages, now, history):
+        return [False] * len(messages)
 
 
 class TestEpidemicDelivery:
@@ -67,14 +78,22 @@ class TestEpidemicDelivery:
         """Even an algorithm that never forwards delivers on direct contact
         with the destination."""
 
-        class NeverForward(EpidemicForwarding):
-            name = "Never"
-
-            def should_forward(self, carrier, peer, destination, now, history):
-                return False
-
         result = simulate(chain_trace, NeverForward(), [_message(0, 1)])
         assert result.outcomes[0].delivered
+
+    def test_overridden_verdict_binds_every_engine(self, chain_trace):
+        """A subclass of a registered protocol that overrides the verdict
+        is judged by that override in DES, the vector kernel and the
+        trace-driven oracle alike: on a chain that needs a relay, nothing
+        is delivered and no copy moves."""
+        messages = [_message(0, 2), _message(1, 3, mid=1)]
+        streams = [
+            [(o.message.id, o.delivered, o.delivery_time, o.hop_count)
+             for o in engine(chain_trace, NeverForward()).run(
+                 messages).outcomes]
+            for engine in (DesSimulator, VectorSimulator, TraceEngine)]
+        assert streams[0] == streams[1] == streams[2] == [
+            (0, False, None, None), (1, False, None, None)]
 
     def test_multiple_messages_tracked_independently(self, chain_trace):
         messages = [_message(0, 3, 0.0, mid=0), _message(2, 3, 0.0, mid=1),

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.path_oracle import first_delivery_time
 
 from repro.analysis import run_forwarding_study, run_path_explosion_study
 from repro.core import (
     PathEnumerator,
     SpaceTimeGraph,
     classify_nodes,
-    first_delivery_time,
     fraction_of_uphill_hops,
     random_messages,
 )

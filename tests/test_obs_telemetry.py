@@ -116,28 +116,34 @@ class TestEngineIntegration:
         assert bare.outcomes == result.outcomes
         assert bare.copies_sent == result.copies_sent
 
-    @pytest.mark.parametrize("protocol_name, options", [
-        ("Epidemic", {}),
-        ("Epidemic", {"buffer_capacity": 4.0, "ttl": 900.0}),
-        ("PRoPHET", {}),
-        ("Greedy", {"buffer_capacity": 4.0}),
-    ], ids=["epidemic", "epidemic-buffer-ttl", "prophet", "greedy-buffer"])
+    @pytest.mark.parametrize("protocol_name, options, code_path", [
+        ("Epidemic", {}, "flood"),
+        ("Binary Spray-and-Wait", {}, "flood"),
+        ("Epidemic", {"buffer_capacity": 4.0, "ttl": 900.0}, "fastpath"),
+        ("PRoPHET", {}, "flood"),
+        ("Greedy", {"buffer_capacity": 4.0}, "fastpath"),
+    ], ids=["epidemic", "spray", "epidemic-buffer-ttl", "prophet",
+            "greedy-buffer"])
     def test_vector_telemetry_equals_des_telemetry(self, protocol_name,
-                                                   options):
+                                                   options, code_path):
         """A native vector run counts and samples exactly the events the
-        DES engine does, on the fast path and the hook path alike."""
+        DES engine does, on the flood and the per-message relay alike;
+        attaching telemetry does not move a run off the flood."""
         trace = load_dataset(PAPER_DATASET_KEYS[0], scale=_SCALE,
                              contact_scale=_SCALE)
         messages = PoissonMessageWorkload(rate=_RATE).generate(trace, seed=11)
 
-        def telemetry_of(simulator_class):
+        def run(simulator_class):
             telemetry = EngineTelemetry(sample_every=8)
-            simulator_class(trace, protocol_by_name(protocol_name),
-                            constraints=ResourceConstraints(**options),
-                            telemetry=telemetry).run(messages)
-            return telemetry
+            simulator = simulator_class(
+                trace, protocol_by_name(protocol_name),
+                constraints=ResourceConstraints(**options),
+                telemetry=telemetry)
+            simulator.run(messages)
+            return simulator, telemetry
 
-        des, vec = telemetry_of(DesSimulator), telemetry_of(VectorSimulator)
+        (_, des), (simulator, vec) = run(DesSimulator), run(VectorSimulator)
+        assert simulator.code_path == code_path
         assert (des.engine, vec.engine) == ("des", "vector")
         assert vec.events == des.events > 0
         assert vec.events_by_kind == des.events_by_kind

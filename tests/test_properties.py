@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from oracles.path_oracle import first_delivery_time
 
 from repro.analysis import empirical_cdf, exponential_growth_rate
 from repro.contacts import Contact, ContactTrace
@@ -154,8 +155,6 @@ class TestEnumerationProperties:
         """A delivery achieved by the event-driven epidemic simulator
         certifies a real space-time path, so the Δ-pooled enumeration must
         also deliver, no later than the simulated time plus one bin."""
-        from repro.core import first_delivery_time
-
         graph = SpaceTimeGraph(trace, delta=10.0)
         nodes = sorted(trace.nodes)
         source = data.draw(st.sampled_from(nodes))

@@ -193,10 +193,10 @@ class DictProphetOracle(RoutingProtocol):
                 if lifted > mine.get(c, 0.0):
                     mine[c] = lifted
 
-    def should_forward(self, carrier, peer, message, now, history):
-        destination = message.destination
-        return (self.predictability(peer, destination, now)
-                > self.predictability(carrier, destination, now))
+    def vector_approvals(self, carrier, peer, messages, now, history):
+        return [self.predictability(peer, m.destination, now)
+                > self.predictability(carrier, m.destination, now)
+                for m in messages]
 
 
 _ORACLE_NODES = range(12)
@@ -284,7 +284,7 @@ class TestProphetMatrixOracle:
         assert math.isnan(protocol._last[15])
 
     def test_vector_run_matches_dict_oracle(self):
-        """A seeded 200-node city through the vector engine's hook path:
+        """A seeded 200-node city through the vector engine:
         the same delivery stream, copy count and resource stats, and the
         same final predictabilities."""
         trace = GridRandomWaypointTraceSpec(

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from oracles.trace_engine import TraceEngine
 
 from repro.contacts import Contact, ContactTrace
-from repro.forwarding import ForwardingSimulator, Message, OnlineContactHistory
+from repro.forwarding import (
+    EpidemicForwarding,
+    ForwardingSimulator,
+    Message,
+    OnlineContactHistory,
+)
 from repro.forwarding.algorithms import algorithm_by_name, algorithm_names
 from repro.routing import (
     NEW_PROTOCOL_NAMES,
@@ -184,12 +189,11 @@ class TestPaperAlgorithms:
 
 
 # ----------------------------------------------------------------------
-# vector_approvals == per-message should_forward, in any reachable state
+# a batch of verdicts == one-message batches, in any reachable state
 # ----------------------------------------------------------------------
 _BATCH_PROTOCOLS = {
     name: (lambda name=name: protocol_by_name(name))
     for name in protocol_names()
-    if protocol_by_name(name).vector_approvals is not None
 }
 _BATCH_PROTOCOLS.update({
     "Binary Spray-and-Wait L=2": lambda: BinarySprayAndWaitProtocol(copies=2),
@@ -215,12 +219,13 @@ class TestVectorApprovalsContract:
     @settings(max_examples=60, deadline=None)
     @given(ops=_BATCH_OPS)
     def test_batch_equals_scalar(self, label, ops):
-        """After any sequence of creations, forwards and contacts, the
-        batch verdicts for every (carrier, peer) pair equal the
-        per-message verdicts.  The batch sees the history only if the
-        protocol declares that it reads it, as in the vector engine."""
+        """After any sequence of creations, forwards and contacts (which
+        also drive the contact hooks), the batch verdicts for every
+        (carrier, peer) pair equal one-message batches and
+        ``should_forward``.  Verdicts and hooks see the history only if the
+        protocol declares that it reads it, as in the vector engine;
+        ``should_forward`` applies that rule itself."""
         protocol = _BATCH_PROTOCOLS[label]()
-        assert protocol.vector_fastpath
         protocol.prepare(_line_trace())
         history = OnlineContactHistory()
         batch_history = history if protocol.reads_history else None
@@ -233,11 +238,14 @@ class TestVectorApprovalsContract:
 
         def check(now):
             for carrier, peer in pairs:
-                expected = [protocol.should_forward(carrier, peer, m, now,
-                                                    history)
-                            for m in messages]
+                singles = [protocol.vector_approvals(carrier, peer, [m], now,
+                                                     batch_history)[0]
+                           for m in messages]
+                assert singles == [
+                    protocol.should_forward(carrier, peer, m, now, history)
+                    for m in messages]
                 assert protocol.vector_approvals(carrier, peer, messages,
-                                                 now, batch_history) == expected
+                                                 now, batch_history) == singles
 
         check(0.0)
         for step, op in enumerate(ops, start=1):
@@ -246,6 +254,8 @@ class TestVectorApprovalsContract:
                 protocol.on_message_created(messages[op[1]], now)
             elif op[0] == "contact":
                 history.record(op[1], op[2], now)
+                protocol.on_contact_start(op[1], op[2], now, batch_history)
+                protocol.on_contact_end(op[1], op[2], now, batch_history)
             else:
                 _, index, choice, peer = op
                 carrier = holders[index][choice % len(holders[index])]
@@ -254,15 +264,30 @@ class TestVectorApprovalsContract:
                     holders[index].append(peer)
             check(now)
 
-    def test_batched_protocols_keep_the_no_op_contact_hooks(self):
-        """The batched path calls no per-contact hook, so every protocol
-        on it (all six paper algorithms among them) must keep the base
-        class's no-ops."""
-        for label, make in _BATCH_PROTOCOLS.items():
-            cls = type(make())
-            for hook in ("on_contact_start", "on_contact_end"):
-                assert (getattr(cls, hook)
-                        is getattr(RoutingProtocol, hook)), (label, hook)
+    def test_defining_should_forward_raises(self):
+        """A protocol states its verdict once: a class that defines
+        ``should_forward`` next to (or instead of) ``vector_approvals``
+        is refused when it is created."""
+        with pytest.raises(TypeError, match="should_forward"):
+            class Twice(EpidemicForwarding):
+                def should_forward(self, carrier, peer, message, now,
+                                   history):
+                    return False
+
+    def test_vector_fastpath_is_derived_from_the_hooks(self):
+        """``vector_fastpath`` is read-only and false exactly for a
+        protocol that overrides a contact hook (PRoPHET, in the
+        catalogue)."""
+        assert [name for name in protocol_names()
+                if not protocol_by_name(name).vector_fastpath] == ["PRoPHET"]
+        with pytest.raises(AttributeError):
+            protocol_by_name("Epidemic").vector_fastpath = False
+
+        class Ender(EpidemicForwarding):
+            def on_contact_end(self, a, b, now, history):
+                pass
+
+        assert not Ender().vector_fastpath
 
 
 class TestDirectDelivery:
@@ -469,8 +494,9 @@ class TestEngineHooks:
             def on_delivered(self, message, now):
                 events.append(("delivered", message.id, now))
 
-            def should_forward(self, carrier, peer, message, now, history):
-                return True
+            def vector_approvals(self, carrier, peer, messages, now,
+                                 history):
+                return [True] * len(messages)
 
         messages = [Message(id=0, source=0, destination=2, creation_time=0.0)]
         _run(Recorder(), messages)

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.contacts import Contact, ContactTrace
 from repro.datasets import PAPER_DATASET_KEYS, load_dataset
 from repro.forwarding import Message, PoissonMessageWorkload
-from repro.obs import JsonlTracer, RecordingTracer
+from repro.obs import EngineTelemetry, JsonlTracer, RecordingTracer
 from repro.routing.registry import protocol_by_name, protocol_catalogue, protocol_names
 from repro.scenario import GridRandomWaypointTraceSpec
 from repro.sim import (
@@ -245,9 +245,10 @@ def short_ttl_city():
     ("Epidemic", {}, "flood"),
     ("Epidemic", {"copy_semantics": "handoff"}, "fastpath"),
     ("Source Spray-and-Wait", {}, "flood"),
-    ("PRoPHET", {}, "hook"),
+    ("PRoPHET", {}, "flood"),
+    ("PRoPHET", {"buffer_capacity": 3.0}, "fastpath"),
     ("Epidemic", {"buffer_capacity": 3.0}, "fastpath"),
-], ids=["flood", "handoff", "spray", "prophet", "buffer"])
+], ids=["flood", "handoff", "spray", "prophet", "prophet-buffer", "buffer"])
 def test_city_expiry_and_eviction_over_hop_columns_match_des(
         short_ttl_city, protocol_name, options, code_path):
     """Expiry finds its holders by scanning the message's hop column, and
@@ -301,7 +302,8 @@ def test_traced_vector_run_is_byte_identical_to_des(tmp_path):
 
 def test_code_path_reports_the_gate_each_run_takes():
     """``code_path`` names the path ``run()`` chose: the message-parallel
-    flood only when the order across messages cannot be observed."""
+    flood only when the order across messages cannot be observed, whatever
+    the protocol and whether or not telemetry is attached."""
     trace = ContactTrace([Contact(0.0, 10.0, 0, 1), Contact(5.0, 30.0, 1, 2)],
                          nodes=range(3), duration=60.0, name="tiny")
     messages = [Message(id=0, source=0, destination=2, creation_time=0.0),
@@ -324,7 +326,11 @@ def test_code_path_reports_the_gate_each_run_takes():
     assert path(constraints=ResourceConstraints(buffer_capacity=5.0)) == \
         "fastpath"
     assert path(tracer=RecordingTracer()) == "fastpath"
-    assert path("PRoPHET") == "hook"
+    assert path(telemetry=EngineTelemetry()) == "flood"
+    assert path("PRoPHET") == "flood"
+    assert path("PRoPHET",
+                constraints=ResourceConstraints(buffer_capacity=5.0)) == \
+        "fastpath"
     assert path(constraints=ResourceConstraints(bandwidth=2.0)) == "delegate"
 
 
